@@ -39,6 +39,7 @@ VideoDatabase::VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
                                                  options_.feedback)),
       pool_(MakeThreadPool(options_.traversal.num_threads)),
       state_mutex_(std::make_unique<std::shared_mutex>()),
+      index_cache_(std::make_unique<EventIndexCache>()),
       admission_(std::make_unique<Admission>()) {
   admission_->options = options_.admission;
   queries_total_ = metrics_->GetCounter("hmmm_queries_total",
@@ -60,6 +61,7 @@ VideoDatabase::VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
     cache_->AttachMetrics(metrics_.get(), "hmmm_query_cache_");
   }
   trainer_->AttachMetrics(metrics_.get());
+  index_cache_->AttachMetrics(metrics_.get());
 }
 
 VideoDatabase::VideoDatabase(VideoDatabase&&) noexcept = default;
@@ -121,8 +123,8 @@ StatusOr<VideoDatabase> VideoDatabase::OpenSnapshot(
   if (reader->has_event_index()) {
     HMMM_ASSIGN_OR_RETURN(EventBitmapIndex index,
                           reader->BuildEventIndex(*db.model_, *db.catalog_));
-    db.prebuilt_index_ =
-        std::make_unique<EventBitmapIndex>(std::move(index));
+    db.index_cache_->Adopt(
+        std::make_shared<const EventBitmapIndex>(std::move(index)));
   }
   // The keepalive goes in AFTER everything borrowing it was built, and
   // the member order guarantees borrowers are destroyed first.
@@ -235,24 +237,24 @@ StatusOr<std::vector<RetrievedPattern>> VideoDatabase::Retrieve(
   }
   if (controls.trace != nullptr) traversal_options.trace = controls.trace;
 
-  // A snapshot-opened database hands its adopted frozen index to every
-  // traversal while it is still fresh; training bumps the model version,
-  // after which traversals silently revert to building their own. The
-  // frozen sims are the same bits the build would produce, so rankings
-  // are identical either way.
-  const EventBitmapIndex* prebuilt =
-      (prebuilt_index_ != nullptr && prebuilt_index_->FreshFor(*model_))
-          ? prebuilt_index_.get()
-          : nullptr;
+  // Every traversal runs on the database's one index for the current
+  // model version: a snapshot-opened database starts from the adopted
+  // frozen index, and after training the first query rebuilds it (the
+  // frozen sims are the same bits the build produces, so rankings are
+  // identical either way). The shared index carries the Step-2 order
+  // memo from query to query.
   const auto run_traversal =
       [&](RetrievalStats* computed) -> StatusOr<std::vector<RetrievedPattern>> {
+    const std::shared_ptr<const EventBitmapIndex> index =
+        index_cache_->Get(*model_, *catalog_, traversal_options.trace);
     if (categories_.has_value()) {
       ThreeLevelTraversal traversal(*model_, *catalog_, *categories_,
-                                    traversal_options, pool_.get(), prebuilt);
+                                    traversal_options, pool_.get(),
+                                    index.get());
       return traversal.Retrieve(pattern, computed);
     }
     HmmmTraversal traversal(*model_, *catalog_, traversal_options,
-                            pool_.get(), prebuilt);
+                            pool_.get(), index.get());
     return traversal.Retrieve(pattern, computed);
   };
 
@@ -348,11 +350,11 @@ Status VideoDatabase::ReplaceCatalog(VideoCatalog catalog) {
   *model_ = std::move(model);
   // The rebuilt model's version counter restarts, so it can collide with
   // the version the cached rankings were computed under — the guard
-  // cannot catch that; clear explicitly. The adopted snapshot index has
-  // the same version-collision hazard (FreshFor compares counters), and
-  // nothing borrows the mapping once the old catalog/model are gone, so
-  // both go now — index first, it borrows the mapping's sims.
-  prebuilt_index_.reset();
+  // cannot catch that; clear explicitly. The shared index has the same
+  // version-collision hazard (FreshFor compares counters), and nothing
+  // borrows the mapping once the old catalog/model are gone, so both go
+  // now — index first, an adopted one borrows the mapping's sims.
+  index_cache_->Reset();
   snapshot_keepalive_.reset();
   if (cache_ != nullptr) cache_->Clear();
   // The trainer references the catalog object (stable address), but any

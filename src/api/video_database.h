@@ -12,6 +12,7 @@
 #include "feedback/trainer.h"
 #include "observability/metrics_registry.h"
 #include "retrieval/admission.h"
+#include "retrieval/event_index_cache.h"
 #include "retrieval/qbe.h"
 #include "retrieval/query_cache.h"
 #include "retrieval/three_level.h"
@@ -261,13 +262,13 @@ class VideoDatabase {
   std::unique_ptr<std::shared_mutex> state_mutex_;
   std::unique_ptr<QueryCache> cache_;  // null when caching is disabled
   /// For a snapshot-opened database: the mapping every borrowed matrix
-  /// points into. Declared above the prebuilt index so the index (which
-  /// borrows the frozen sims) is destroyed first.
+  /// points into. Declared above the index cache so an adopted index
+  /// (which borrows the frozen sims) is destroyed first.
   std::unique_ptr<SnapshotReader> snapshot_keepalive_;
-  /// The adopted frozen event index. Used by Retrieve only while
-  /// FreshFor(model) holds — the first training round invalidates it and
-  /// traversals fall back to their own per-model index build.
-  std::unique_ptr<EventBitmapIndex> prebuilt_index_;
+  /// The one event index per model version that every traversal shares.
+  /// Starts from the snapshot's frozen index when there is one; after
+  /// training, the first query rebuilds it.
+  std::unique_ptr<EventIndexCache> index_cache_;
   /// Admission mutex + cv + in-flight counters behind a pointer, same
   /// movability trick as state_mutex_.
   struct Admission;

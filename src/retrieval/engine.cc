@@ -8,11 +8,6 @@
 
 namespace hmmm {
 
-struct RetrievalEngine::IndexCache {
-  std::mutex mutex;
-  std::shared_ptr<const EventBitmapIndex> index;
-};
-
 struct RetrievalEngine::Admission {
   mutable std::mutex mutex;
   std::condition_variable slot_freed;
@@ -48,7 +43,7 @@ RetrievalEngine::RetrievalEngine(const VideoCatalog& catalog,
       model_(std::make_unique<HierarchicalModel>(std::move(model))),
       traversal_options_(traversal_options),
       pool_(MakeThreadPool(traversal_options_.num_threads)),
-      index_cache_(std::make_unique<IndexCache>()),
+      index_cache_(std::make_unique<EventIndexCache>()),
       admission_(std::make_unique<Admission>()),
       metrics_(std::make_unique<MetricsRegistry>()) {
   queries_total_ = metrics_->GetCounter(
@@ -69,6 +64,7 @@ RetrievalEngine::RetrievalEngine(const VideoCatalog& catalog,
     cache_ = std::make_unique<QueryCache>(query_cache_entries);
     cache_->AttachMetrics(metrics_.get(), "hmmm_query_cache_");
   }
+  index_cache_->AttachMetrics(metrics_.get());
 }
 
 RetrievalEngine::RetrievalEngine(RetrievalEngine&&) noexcept = default;
@@ -140,13 +136,7 @@ QueryCacheStats RetrievalEngine::cache_stats() const {
 
 std::shared_ptr<const EventBitmapIndex> RetrievalEngine::SharedEventIndex()
     const {
-  std::lock_guard<std::mutex> lock(index_cache_->mutex);
-  if (index_cache_->index == nullptr ||
-      !index_cache_->index->FreshFor(*model_)) {
-    index_cache_->index =
-        std::make_shared<EventBitmapIndex>(*model_, *catalog_);
-  }
-  return index_cache_->index;
+  return index_cache_->Get(*model_, *catalog_, traversal_options_.trace);
 }
 
 StatusOr<std::vector<RetrievedPattern>> RetrievalEngine::Query(

@@ -11,6 +11,7 @@
 #include "core/model_builder.h"
 #include "observability/metrics_registry.h"
 #include "retrieval/admission.h"
+#include "retrieval/event_index_cache.h"
 #include "retrieval/query_cache.h"
 #include "retrieval/traversal.h"
 
@@ -93,11 +94,12 @@ class RetrievalEngine {
   QueryCacheStats cache_stats() const;
 
   /// The shared model-tier EventBitmapIndex for the current model
-  /// version. Built lazily on first use and rebuilt when the version
-  /// counter moves (the same staleness rule as the query-result cache);
-  /// every traversal of the engine runs on this one instance. Returned as
-  /// a shared_ptr so an in-flight query keeps its index alive across a
-  /// concurrent rebuild.
+  /// version (EventIndexCache): built lazily on first use and rebuilt
+  /// when the version counter moves (the same staleness rule as the
+  /// query-result cache); every traversal of the engine runs on this one
+  /// instance and shares its Step-2 order memo. Returned as a shared_ptr
+  /// so an in-flight query keeps its index alive across a concurrent
+  /// rebuild.
   std::shared_ptr<const EventBitmapIndex> SharedEventIndex() const;
 
   /// The engine-owned registry. Stable for the engine's lifetime (also
@@ -134,11 +136,10 @@ class RetrievalEngine {
   TraversalOptions traversal_options_;
   std::unique_ptr<ThreadPool> pool_;   // null when num_threads resolves to 1
   std::unique_ptr<QueryCache> cache_;  // null when caching is disabled
-  /// Mutex + current index behind a pointer so the engine stays movable.
-  struct IndexCache;
-  std::unique_ptr<IndexCache> index_cache_;
+  /// Behind a pointer so the engine stays movable.
+  std::unique_ptr<EventIndexCache> index_cache_;
   /// Mutex + cv + in-flight counters behind a pointer, same movability
-  /// trick as IndexCache.
+  /// trick as index_cache_.
   struct Admission;
   std::unique_ptr<Admission> admission_;
   std::unique_ptr<MetricsRegistry> metrics_;

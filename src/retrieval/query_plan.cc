@@ -163,6 +163,21 @@ DenseBitset EventBitmapIndex::VideosContainingStep(
   return result;
 }
 
+std::shared_ptr<const EventBitmapIndex::MemoizedVideoOrder>
+EventBitmapIndex::FindVideoOrder(const DenseBitset& containing) const {
+  std::lock_guard<std::mutex> lock(order_memo_->mutex);
+  const auto it = order_memo_->orders.find(containing);
+  return it == order_memo_->orders.end() ? nullptr : it->second;
+}
+
+void EventBitmapIndex::StoreVideoOrder(const DenseBitset& containing,
+                                       MemoizedVideoOrder order) const {
+  auto entry = std::make_shared<const MemoizedVideoOrder>(std::move(order));
+  std::lock_guard<std::mutex> lock(order_memo_->mutex);
+  if (order_memo_->orders.size() >= kMaxMemoizedVideoOrders) return;
+  order_memo_->orders.emplace(containing, std::move(entry));
+}
+
 void EventBitmapIndex::StatesAnnotatedForStep(VideoId video,
                                               const PatternStep& step,
                                               DenseBitset* out) const {

@@ -1,8 +1,12 @@
 #ifndef HMMM_RETRIEVAL_QUERY_PLAN_H_
 #define HMMM_RETRIEVAL_QUERY_PLAN_H_
 
+#include <compare>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/hierarchical_model.h"
@@ -43,6 +47,9 @@ class DenseBitset {
   void SetAll();
   void Reset();
 
+  /// Lexicographic over (size, words); lets a bitset key an ordered map.
+  auto operator<=>(const DenseBitset&) const = default;
+
   /// Calls fn(i) for every set bit in increasing order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
@@ -63,9 +70,10 @@ class DenseBitset {
 
 /// Model-tier index of the query-plan layer: inverted event bitsets
 /// derived from one (model, catalog) pair. Built once per model version
-/// and shared read-only by every traversal (RetrievalEngine caches one
-/// instance keyed by HierarchicalModel::version(), the same counter the
-/// query-result cache uses for invalidation).
+/// and shared by every traversal: RetrievalEngine and VideoDatabase each
+/// hold one instance through an EventIndexCache (event_index_cache.h),
+/// keyed by HierarchicalModel::version(), the same counter the
+/// query-result cache uses for invalidation.
 ///
 ///  - VideosWithEvent(e): bitset over VideoId with B2(v, e) > 0,
 ///    replacing the per-call B2 row scans of Step 2 / Fig. 3 hand-over.
@@ -80,8 +88,27 @@ class DenseBitset {
 ///    32-byte-aligned feature-major transpose of B1. The cube-pruned
 ///    traversal orders its frontier by these, so only near-winning hops
 ///    pay a query-time Eq.-14/15 evaluation (DESIGN.md §5.1).
+///  - The Step-2 order memo: the complete video visiting order
+///    (HmmmTraversal::VideoOrder) per distinct first-step containing-video
+///    set. The order is a pure function of that set, A2 and Pi2, which are
+///    fixed for the index's model version, so each first step pays for its
+///    quadratic affinity chain once per model version. This is the only
+///    state that changes after construction; it sits behind its own mutex.
 class EventBitmapIndex {
  public:
+  /// One memoized Step-2 visiting order.
+  struct MemoizedVideoOrder {
+    /// The chained containing-video prefix, then the Pi2-sorted rest.
+    std::vector<VideoId> order;
+    /// Picks made by the affinity chain: the containing prefix's length.
+    size_t chain_length = 0;
+  };
+
+  /// Distinct first-step orders memoized per index. Beyond the cap a new
+  /// first step is still ordered, just not stored. At 100x scale (5,400
+  /// videos) a full memo holds about 0.7 MB.
+  static constexpr size_t kMaxMemoizedVideoOrders = 32;
+
   /// Both references are only read during construction. The built index
   /// snapshots model.version(); FreshFor() tells a caching layer when a
   /// rebuild is due. `kernel` selects the Eq.-14 batch kernel for the
@@ -166,6 +193,15 @@ class EventBitmapIndex {
   const Matrix& event_sims() const { return event_sims_; }
   double sims_centroid_epsilon() const { return centroid_epsilon_; }
 
+  /// The memoized order for first steps whose containing videos are
+  /// exactly `containing` (a VideosContainingStep result), or null.
+  std::shared_ptr<const MemoizedVideoOrder> FindVideoOrder(
+      const DenseBitset& containing) const;
+  /// Memoizes a completed order for `containing`. Keeps the first order
+  /// stored for a set, and stores nothing once the memo is full.
+  void StoreVideoOrder(const DenseBitset& containing,
+                       MemoizedVideoOrder order) const;
+
  private:
   /// Shared bitset construction of both constructors: B2 containment
   /// bitsets, non-empty videos, per-(video, event) local-state bitsets
@@ -180,6 +216,13 @@ class EventBitmapIndex {
   std::vector<DenseBitset> shot_events_;   // [video*E + event] -> local states
   double centroid_epsilon_ = 0.0;  // epsilon event_sims_ was built with
   Matrix event_sims_;              // [event][global state] exact Eq.-14 sims
+
+  struct OrderMemo {
+    std::mutex mutex;
+    std::map<DenseBitset, std::shared_ptr<const MemoizedVideoOrder>> orders;
+  };
+  /// Behind a pointer so the index stays movable.
+  std::unique_ptr<OrderMemo> order_memo_ = std::make_unique<OrderMemo>();
 };
 
 /// Query-tier scratch of the query-plan layer: one instance per worker

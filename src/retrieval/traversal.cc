@@ -152,18 +152,20 @@ void HmmmTraversal::CandidateStates(QueryPlan& plan, VideoId video, int first,
 
 std::vector<VideoId> HmmmTraversal::VideoOrder(
     const TemporalPattern& pattern) const {
+  return VideoOrder(pattern, nullptr);
+}
+
+std::vector<VideoId> HmmmTraversal::VideoOrder(const TemporalPattern& pattern,
+                                               bool* memo_hit) const {
   const size_t m = model_.num_videos();
   std::vector<VideoId> order;
   if (m == 0 || pattern.empty()) return order;
 
-  std::vector<bool> visited(m, false);
-  std::vector<VideoId> containing;
   // Step 2: matrix B2 containment of an anticipated first-step event,
   // answered by the model-tier bitsets.
+  const EventBitmapIndex& index = CurrentIndex();
   const DenseBitset step_videos =
-      CurrentIndex().VideosContainingStep(pattern.steps.front());
-  step_videos.ForEachSetBit(
-      [&](size_t v) { containing.push_back(static_cast<VideoId>(v)); });
+      index.VideosContainingStep(pattern.steps.front());
   // Deadline/cancellation poll for the ordering pass. The chaining below
   // is quadratic in |containing|, so it checks once per
   // kOrderPollInterval picks; a fired poll truncates the order, which
@@ -184,6 +186,35 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(
     }
     return DeadlineExpired(options_.deadline);
   };
+
+  // The order only depends on the containing set and the model version's
+  // A2/Pi2, so the index memoizes it. A hit replays the chain's polls at
+  // the same pick positions (every kOrderPollInterval-th pick the loop
+  // starts, then once before the rest), so a fired poll cuts the same
+  // prefix and fault-point hit counts match a miss.
+  if (const auto memo = index.FindVideoOrder(step_videos)) {
+    if (memo_hit != nullptr) *memo_hit = true;
+    const auto prefix = [&](size_t length) {
+      return std::vector<VideoId>(memo->order.begin(),
+                                  memo->order.begin() + length);
+    };
+    const size_t picks_started =
+        std::min(memo->chain_length + 1, step_videos.Count());
+    for (size_t picked = 0; picked < picks_started;
+         picked += kOrderPollInterval) {
+      if (ordering_expired(picked)) return prefix(picked);
+    }
+    if (ordering_expired(memo->chain_length)) {
+      return prefix(memo->chain_length);
+    }
+    return memo->order;
+  }
+  if (memo_hit != nullptr) *memo_hit = false;
+
+  std::vector<bool> visited(m, false);
+  std::vector<VideoId> containing;
+  step_videos.ForEachSetBit(
+      [&](size_t v) { containing.push_back(static_cast<VideoId>(v)); });
   // Seed with the highest-Pi2 containing video, then chain by A2 affinity
   // with the previously chosen video (Step 2: "close affinity relationship
   // with the previous video").
@@ -211,9 +242,10 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(
     order.push_back(best);
     previous = best;
   }
+  const size_t chain_length = order.size();
   // Step 7 walks all M videos; the ones without e_1 come last (they can
   // still host "similar" shots).
-  if (ordering_expired(order.size())) return order;
+  if (ordering_expired(chain_length)) return order;
   std::vector<VideoId> rest;
   for (size_t v = 0; v < m; ++v) {
     if (!visited[v]) rest.push_back(static_cast<VideoId>(v));
@@ -223,6 +255,8 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(
            model_.pi2()[static_cast<size_t>(b)];
   });
   order.insert(order.end(), rest.begin(), rest.end());
+  // Only a completed order is memoized; a truncated one returned above.
+  index.StoreVideoOrder(step_videos, {order, chain_length});
   return order;
 }
 
@@ -559,11 +593,16 @@ Status ValidatePattern(const TemporalPattern& pattern,
 StatusOr<std::vector<RetrievedPattern>> HmmmTraversal::Retrieve(
     const TemporalPattern& pattern, RetrievalStats* stats) const {
   HMMM_RETURN_IF_ERROR(ValidatePattern(pattern, model_));
+  // A self-built index is built (or rebuilt) here, before the Step-2 span
+  // opens, so the span times the ordering alone.
+  CurrentIndex();
   std::vector<VideoId> order;
   {
     ScopedSpan span(options_.trace, "step2_video_order");
-    order = VideoOrder(pattern);
+    bool memo_hit = false;
+    order = VideoOrder(pattern, &memo_hit);
     span.Counter("videos_ordered", order.size());
+    span.Counter("order_memo_hit", memo_hit ? 1 : 0);
   }
   // A full ordering covers all M videos, so a shorter one means the
   // deadline/cancellation fired during Step 2: the videos that never got

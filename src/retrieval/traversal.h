@@ -110,8 +110,9 @@ class HmmmTraversal {
   /// it is used for the per-video fan-out (and must outlive the
   /// traversal); otherwise a pool is created iff options.num_threads
   /// resolves to more than one worker. When `index` is given it must be
-  /// fresh for `model` and outlive the traversal (the engine shares one
-  /// per model version); otherwise the traversal builds its own.
+  /// fresh for `model` and outlive the traversal (RetrievalEngine and
+  /// VideoDatabase share one per model version, with its Step-2 order
+  /// memo); otherwise the traversal builds its own.
   HmmmTraversal(const HierarchicalModel& model, const VideoCatalog& catalog,
                 TraversalOptions options = {}, ThreadPool* pool = nullptr,
                 const EventBitmapIndex* index = nullptr);
@@ -135,13 +136,15 @@ class HmmmTraversal {
   /// chained by A2 affinity — then the rest. Exposed for tests. Polls
   /// the options' deadline/cancellation between picks and truncates the
   /// order (a prefix of the full one, since the affinity chaining is
-  /// deterministic) when either fires.
+  /// deterministic) when either fires. A completed order is memoized on
+  /// the event index, so later calls with the same containing-video set
+  /// copy it (polling at the same positions) instead of re-chaining.
   std::vector<VideoId> VideoOrder(const TemporalPattern& pattern) const;
 
   /// The model-tier index this traversal runs on. A self-built index is
   /// (re)built lazily whenever the model's version counter has moved, so
   /// mutating the model through a learner between queries stays valid; an
-  /// externally supplied index is trusted (the engine rebuilds it).
+  /// externally supplied index is trusted (its owner rebuilds it).
   const EventBitmapIndex& event_index() const { return CurrentIndex(); }
 
  private:
@@ -296,6 +299,11 @@ class HmmmTraversal {
                             RetrievalStats* stats, RetrievedPattern* out,
                             int parent_span = -1, int64_t order_index = -1,
                             CancelScope* cancel = nullptr) const;
+
+  /// VideoOrder that also reports whether the index's order memo
+  /// answered (`memo_hit`, may be null).
+  std::vector<VideoId> VideoOrder(const TemporalPattern& pattern,
+                                  bool* memo_hit) const;
 
   /// Self-built index, rebuilt under the lock when stale; unused when an
   /// external index was supplied.

@@ -388,6 +388,10 @@ std::string EncodeTemporalQueryResponse(const TemporalQueryResponse& response,
   if (response.has_stats) EncodeStats(writer, response.stats);
   writer.WriteString(response.trace_jsonl);
   if (version >= 2) writer.WriteString(response.trace_blob);
+  if (version >= 4 && response.has_stats) {
+    writer.WriteUint64(response.stats.heap_pops);
+    writer.WriteUint64(response.stats.grid_cells_skipped);
+  }
   return std::move(writer).TakeBuffer();
 }
 
@@ -414,6 +418,11 @@ StatusOr<TemporalQueryResponse> DecodeTemporalQueryResponse(
   HMMM_ASSIGN_OR_RETURN(response.trace_jsonl, reader.ReadString());
   if (version >= 2) {
     HMMM_ASSIGN_OR_RETURN(response.trace_blob, reader.ReadString());
+  }
+  if (version >= 4 && response.has_stats) {
+    HMMM_ASSIGN_OR_RETURN(response.stats.heap_pops, reader.ReadUint64());
+    HMMM_ASSIGN_OR_RETURN(response.stats.grid_cells_skipped,
+                          reader.ReadUint64());
   }
   return response;
 }

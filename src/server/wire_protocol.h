@@ -18,7 +18,7 @@ namespace hmmm {
 //
 //   offset  size  field
 //   0       4     magic 0x484D4D51 ("QMMH" in memory, little-endian)
-//   4       2     protocol version (1 or 2)
+//   4       2     protocol version (1 through 4)
 //   6       2     message type (MessageType)
 //   8       4     payload size in bytes
 //   12      4     CRC-32C of the payload
@@ -47,9 +47,12 @@ namespace hmmm {
 //       appends per-shard broadcast accounting (shards_attempted /
 //       shards_failed) so a coordinator fan-out can report partial
 //       training failures instead of masking them.
+//   v4  a TemporalQueryResponse that carries stats appends the
+//       cube-pruning counters heap_pops and grid_cells_skipped, which
+//       v1-v3 answers leave at 0.
 
 inline constexpr uint32_t kWireMagic = 0x484D4D51u;
-inline constexpr uint16_t kWireProtocolVersion = 3;
+inline constexpr uint16_t kWireProtocolVersion = 4;
 /// Oldest version this build still speaks. Frames inside
 /// [kWireMinProtocolVersion, kWireProtocolVersion] are served; anything
 /// else gets a typed kUnsupportedVersion answer.

@@ -113,6 +113,33 @@ TEST_F(CancellationRetrievalTest,
   }
 }
 
+TEST_F(CancellationRetrievalTest, MemoizedStepTwoOrderStillPollsTheToken) {
+  // A memo hit copies the stored Step-2 order but polls like the chain it
+  // replaces: a token cancelled before Step 2 still cuts the order to the
+  // empty prefix, and the memo keeps serving uncancelled callers.
+  const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
+  const EventBitmapIndex index(model_, catalog_);
+  const HmmmTraversal warm(model_, catalog_, TraversalOptions{}, nullptr,
+                           &index);
+  const std::vector<VideoId> full = warm.VideoOrder(pattern);
+  ASSERT_EQ(full.size(), catalog_.num_videos());
+
+  CancellationToken token;
+  token.Cancel();
+  TraversalOptions options;
+  options.cancellation = &token;
+  const HmmmTraversal cancelled(model_, catalog_, options, nullptr, &index);
+  EXPECT_TRUE(cancelled.VideoOrder(pattern).empty());
+  RetrievalStats stats;
+  auto results = cancelled.Retrieve(pattern, &stats);
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE(results->empty());
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.videos_skipped, catalog_.num_videos());
+
+  EXPECT_EQ(warm.VideoOrder(pattern), full);
+}
+
 TEST_F(CancellationRetrievalTest, ExpiredDeadlineDegradesLikeCancellation) {
   const auto pattern = TemporalPattern::FromEvents({2, 0});
   TraversalOptions options;

@@ -144,6 +144,45 @@ TEST_F(ChaosTest, OrderingFaultDegradesToEmptyOrder) {
   EXPECT_EQ(stats.videos_skipped, catalog_.num_videos());
 }
 
+TEST_F(ChaosTest, OrderPickFaultCutsTheSamePrefixOnAMemoHit) {
+  SKIP_WITHOUT_FAULT_INJECTION();
+  // A memoized Step-2 order replays the chain's polls at the same pick
+  // positions: a fault firing at the last poll (before the Pi2-sorted
+  // rest) cuts the same containing prefix, with the same hit count, as
+  // the chain computed from scratch.
+  const auto pattern = TemporalPattern::FromEvents({2, 0});
+  const EventBitmapIndex index(model_, catalog_);
+  const HmmmTraversal shared(model_, catalog_, TraversalOptions{}, nullptr,
+                             &index);
+  const std::vector<VideoId> full = shared.VideoOrder(pattern);  // memoized
+  const size_t containing =
+      index.VideosContainingStep(pattern.steps.front()).Count();
+  ASSERT_GT(containing, 0u);
+  ASSERT_LT(containing, full.size());
+
+  const auto order_pick_hits = [] {
+    for (const FaultPointStats& point : FaultInjector::Instance().Snapshot()) {
+      if (point.point == "traversal.order_pick") return point.hits;
+    }
+    return uint64_t{0};
+  };
+  FaultPointConfig config;
+  config.arg_threshold = 1;  // every poll but the one at pick 0
+  FaultInjector::Instance().Arm("traversal.order_pick", config);
+
+  const HmmmTraversal cold(model_, catalog_);  // own index: a memo miss
+  const std::vector<VideoId> computed = cold.VideoOrder(pattern);
+  const uint64_t miss_hits = order_pick_hits();
+  const std::vector<VideoId> replayed = shared.VideoOrder(pattern);
+  const uint64_t hit_hits = order_pick_hits() - miss_hits;
+
+  const std::vector<VideoId> prefix(
+      full.begin(), full.begin() + static_cast<long>(containing));
+  EXPECT_EQ(computed, prefix);
+  EXPECT_EQ(replayed, prefix);
+  EXPECT_EQ(hit_hits, miss_hits);
+}
+
 TEST_F(ChaosTest, WorkerFaultSurfacesAsInternalErrorNotACrash) {
   SKIP_WITHOUT_FAULT_INJECTION();
   FaultPointConfig config;

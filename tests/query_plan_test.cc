@@ -151,6 +151,28 @@ TEST_F(EventBitmapIndexTest, FreshnessTracksTheModelVersionCounter) {
   EXPECT_TRUE(rebuilt.FreshFor(model_));
 }
 
+TEST_F(EventBitmapIndexTest, OrderMemoKeepsTheFirstOrderAndIsCapped) {
+  const EventBitmapIndex index(model_, catalog_);
+  const size_t cap = EventBitmapIndex::kMaxMemoizedVideoOrders;
+  // Distinct keys: the bitset with only bit k set, over cap + 1 bits.
+  const auto key = [&](size_t k) {
+    DenseBitset bits(cap + 1);
+    bits.Set(k);
+    return bits;
+  };
+  EXPECT_EQ(index.FindVideoOrder(key(0)), nullptr);
+  for (size_t k = 0; k <= cap; ++k) {
+    index.StoreVideoOrder(key(k), {{static_cast<VideoId>(k)}, 1});
+  }
+  index.StoreVideoOrder(key(0), {{99}, 1});  // a second store keeps the first
+  for (size_t k = 0; k < cap; ++k) {
+    const auto stored = index.FindVideoOrder(key(k));
+    ASSERT_NE(stored, nullptr) << k;
+    EXPECT_EQ(stored->order, std::vector<VideoId>{static_cast<VideoId>(k)});
+  }
+  EXPECT_EQ(index.FindVideoOrder(key(cap)), nullptr);  // beyond the cap
+}
+
 // -- QueryPlan ------------------------------------------------------------
 
 class QueryPlanTest : public ::testing::Test {

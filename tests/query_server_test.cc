@@ -114,6 +114,36 @@ TEST(QueryServerTest, PipelinedRequestsOnOneConnectionKeepOrder) {
   }
 }
 
+TEST(QueryServerTest, ServedStatsCarryTheCubePruningCounters) {
+  VideoDatabase db = MakeDatabase();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+  RetrievalStats expected;
+  ASSERT_TRUE(db.Query("free_kick ; goal", &expected).ok());
+  ASSERT_GT(expected.heap_pops, 0u);
+  ASSERT_GT(expected.grid_cells_skipped, 0u);
+
+  for (uint16_t version : {uint16_t{3}, kWireProtocolVersion}) {
+    QueryClientOptions options = ClientOptions(server.port());
+    options.protocol_version = version;
+    QueryClient client(options);
+    TemporalQueryRequest request;
+    request.text = "free_kick ; goal";
+    request.want_stats = true;
+    const auto response = client.TemporalQuery(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->has_stats);
+    EXPECT_EQ(response->stats.states_visited, expected.states_visited);
+    // A v3 answer has no room for the v4 counters.
+    const bool carried = version >= 4;
+    EXPECT_EQ(response->stats.heap_pops, carried ? expected.heap_pops : 0u)
+        << "v" << version;
+    EXPECT_EQ(response->stats.grid_cells_skipped,
+              carried ? expected.grid_cells_skipped : 0u)
+        << "v" << version;
+  }
+}
+
 TEST(QueryServerTest, ZeroBudgetDegradesInsteadOfFailing) {
   VideoDatabase db = MakeDatabase();
   QueryServer server(&db);

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/learner.h"
 #include "core/model_builder.h"
 #include "observability/query_trace.h"
 #include "retrieval/traversal.h"
@@ -584,17 +586,92 @@ TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
 INSTANTIATE_TEST_SUITE_P(RandomizedModels, ReferenceEquivalenceTest,
                          ::testing::Values(3u, 11u, 29u, 47u));
 
+/// Step-2 first steps of every shape: single events, a conjunction
+/// (free_kick & goal) and a disjunction (corner_kick | foul).
+std::vector<TemporalPattern> FirstStepShapes() {
+  std::vector<TemporalPattern> patterns;
+  for (EventId e : {0, 1, 2, 3}) {
+    patterns.push_back(TemporalPattern::FromEvents({e, 0}));
+  }
+  TemporalPattern conjunctive = TemporalPattern::FromEvents({2, 1});
+  conjunctive.steps.front().alternatives = {{2, 0}};
+  patterns.push_back(conjunctive);
+  TemporalPattern disjunctive = TemporalPattern::FromEvents({1, 0});
+  disjunctive.steps.front().alternatives = {{1}, {3}};
+  patterns.push_back(disjunctive);
+  return patterns;
+}
+
 TEST(ReferenceEquivalenceTest, VideoOrderMatchesTheNaiveScan) {
   const VideoCatalog catalog = testing::GeneratedSoccerCatalog(11, 10);
   auto built = ModelBuilder(catalog).Build();
   ASSERT_TRUE(built.ok());
-  const HierarchicalModel model = std::move(built).value();
+  HierarchicalModel model = std::move(built).value();
   const ReferenceTraversal reference(model, catalog, TraversalOptions{});
   HmmmTraversal traversal(model, catalog);
-  for (EventId e : {0, 1, 2, 3}) {
-    const auto pattern = TemporalPattern::FromEvents({e, 0});
-    EXPECT_EQ(traversal.VideoOrder(pattern), reference.VideoOrder(pattern))
-        << "event " << e;
+  const std::vector<TemporalPattern> patterns = FirstStepShapes();
+
+  // The first call per first step fills the index's order memo; repeats
+  // are served from it. Both must equal the naive scan.
+  const auto orders = [&](const char* when) {
+    std::vector<std::vector<VideoId>> result;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      result.push_back(traversal.VideoOrder(patterns[i]));
+      EXPECT_EQ(result.back(), reference.VideoOrder(patterns[i]))
+          << when << ", pattern " << i;
+    }
+    return result;
+  };
+  const auto before_training = orders("first call");
+  orders("repeated call");
+
+  // Training moves A2, Pi2 and the model version. The traversal's index
+  // is rebuilt, so no order memoized under the old matrices survives.
+  OfflineLearner learner;
+  ASSERT_TRUE(learner
+                  .ApplyVideoPatterns(model, {{{7, 2, 5}, 5.0},
+                                              {{4, 9, 1}, 3.0}})
+                  .ok());
+  EXPECT_NE(orders("after training"), before_training);
+  orders("repeated after training");
+}
+
+TEST(ReferenceEquivalenceTest, SharedIndexGivesEveryThreadTheSameOrder) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(29, 12);
+  auto built = ModelBuilder(catalog).Build();
+  ASSERT_TRUE(built.ok());
+  const HierarchicalModel model = std::move(built).value();
+  const ReferenceTraversal reference(model, catalog, TraversalOptions{});
+  const std::vector<TemporalPattern> patterns = FirstStepShapes();
+  std::vector<std::vector<VideoId>> expected;
+  for (const TemporalPattern& pattern : patterns) {
+    expected.push_back(reference.VideoOrder(pattern));
+  }
+
+  // Four threads race to fill and read one index's order memo.
+  const EventBitmapIndex index(model, catalog);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<VideoId>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const HmmmTraversal traversal(model, catalog, TraversalOptions{},
+                                    nullptr, &index);
+      for (int round = 0; round < kRounds; ++round) {
+        for (const TemporalPattern& pattern : patterns) {
+          got[static_cast<size_t>(t)].push_back(traversal.VideoOrder(pattern));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[static_cast<size_t>(t)].size(), kRounds * patterns.size());
+    for (size_t i = 0; i < got[static_cast<size_t>(t)].size(); ++i) {
+      EXPECT_EQ(got[static_cast<size_t>(t)][i], expected[i % patterns.size()])
+          << "thread " << t << ", call " << i;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "common/serialization.h"
 #include "core/model_builder.h"
 #include "observability/metrics_registry.h"
+#include "observability/query_trace.h"
 #include "snapshot/snapshot_format.h"
 #include "snapshot/snapshot_reader.h"
 #include "snapshot/snapshot_writer.h"
@@ -221,6 +222,75 @@ TEST_F(SnapshotTest, MappedRankingsMatchHeapAtEveryThreadCountAndKernel) {
         ExpectIdenticalResults(*expected, *actual);
       }
     }
+  }
+}
+
+TEST_F(SnapshotTest, SharedIndexIsBuiltOncePerModelVersion) {
+  ASSERT_TRUE(WriteSnapshot(model_, catalog_, path_).ok());
+  VideoDatabaseOptions options;
+  options.query_cache_entries = 0;  // every query runs a traversal
+  auto db = VideoDatabase::OpenSnapshot(path_, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const auto builds = [&] {
+    return db->metrics_registry()
+        .GetCounter("hmmm_event_index_builds_total")
+        ->value();
+  };
+  const std::vector<std::string> queries = {"free_kick ; goal", "goal",
+                                            "corner_kick ; goal", "goal"};
+  const auto run_queries = [&] {
+    for (const std::string& query : queries) {
+      auto results = db->Query(query);
+      ASSERT_TRUE(results.ok()) << results.status();
+    }
+  };
+  // Traced query: which root spans it recorded, and whether Step 2 was a
+  // memo hit.
+  const auto traced_query = [&](const std::string& query, size_t* builds_seen,
+                                uint64_t* memo_hit) {
+    QueryTrace trace;
+    QueryControls controls;
+    controls.trace = &trace;
+    ASSERT_TRUE(db->Query(query, controls).ok());
+    *builds_seen = 0;
+    *memo_hit = 0;
+    for (const TraceSpan& span : trace.Spans()) {
+      if (span.name == "event_index_build") ++*builds_seen;
+      if (span.name != "step2_video_order") continue;
+      for (const auto& [name, value] : span.counters) {
+        if (name == "order_memo_hit") *memo_hit = value;
+      }
+    }
+  };
+
+  // The adopted frozen index serves the snapshot's model version.
+  run_queries();
+  EXPECT_EQ(builds(), 0u);
+  size_t builds_seen = 0;
+  uint64_t memo_hit = 0;
+  traced_query("goal ; corner_kick", &builds_seen, &memo_hit);
+  EXPECT_EQ(builds_seen, 0u);
+  EXPECT_EQ(memo_hit, 1u);  // "goal" was ordered by run_queries
+
+  for (uint64_t round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("training round " + std::to_string(round));
+    auto results = db->Query("free_kick ; goal");
+    ASSERT_TRUE(results.ok()) << results.status();
+    ASSERT_FALSE(results->empty());
+    ASSERT_TRUE(db->MarkPositive(results->front()).ok());
+    auto trained = db->Train();
+    ASSERT_TRUE(trained.ok()) << trained.status();
+    ASSERT_TRUE(*trained);
+    // Training does not build; the first query after it does, once.
+    EXPECT_EQ(builds(), round - 1);
+    traced_query("goal", &builds_seen, &memo_hit);
+    EXPECT_EQ(builds_seen, 1u);
+    EXPECT_EQ(memo_hit, 0u);  // a rebuilt index starts with an empty memo
+    run_queries();
+    traced_query("goal", &builds_seen, &memo_hit);
+    EXPECT_EQ(builds_seen, 0u);
+    EXPECT_EQ(memo_hit, 1u);
+    EXPECT_EQ(builds(), round);
   }
 }
 

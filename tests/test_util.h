@@ -1,8 +1,17 @@
 #ifndef HMMM_TESTS_TEST_UTIL_H_
 #define HMMM_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "media/event_types.h"
@@ -76,10 +85,69 @@ inline VideoCatalog GeneratedSoccerCatalog(uint64_t seed = 3,
   return std::move(catalog).value();
 }
 
-/// Temp-file path helper (unique per test invocation).
+namespace internal {
+
+/// The private scratch directories of this test process: one per test,
+/// made with mkdtemp under $TMPDIR (default /tmp) and named after the pid
+/// and the test, so tests of one fixture that ctest runs in parallel
+/// processes never share a file. All are removed when the process exits.
+class PrivateTempDirs {
+ public:
+  static PrivateTempDirs& Instance() {
+    static PrivateTempDirs dirs;
+    return dirs;
+  }
+
+  PrivateTempDirs(const PrivateTempDirs&) = delete;
+  PrivateTempDirs& operator=(const PrivateTempDirs&) = delete;
+
+  const std::string& For(const std::string& test_name) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = dirs_.find(test_name);
+    if (it != dirs_.end()) return it->second;
+    const char* tmpdir = ::getenv("TMPDIR");
+    std::string name = test_name.substr(0, 96);
+    for (char& c : name) {
+      if (c == '/') c = '_';
+    }
+    std::string pattern =
+        std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
+        "/hmmm_test." + std::to_string(::getpid()) + "." + name + ".XXXXXX";
+    HMMM_CHECK(::mkdtemp(pattern.data()) != nullptr);
+    return dirs_.emplace(test_name, std::move(pattern)).first->second;
+  }
+
+  ~PrivateTempDirs() {
+    // A forked child that exits normally must not delete its parent's
+    // files.
+    if (::getpid() != owner_) return;
+    for (const auto& [test_name, dir] : dirs_) {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  }
+
+ private:
+  PrivateTempDirs() = default;
+
+  const pid_t owner_ = ::getpid();
+  std::mutex mutex_;
+  std::map<std::string, std::string> dirs_;
+};
+
+}  // namespace internal
+
+/// Temp-file path helper: `name` inside the running test's private
+/// directory (see internal::PrivateTempDirs), so the path is unique per
+/// test process and test.
 inline std::string TempPath(const std::string& name) {
-  const char* dir = ::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string test_name =
+      test != nullptr
+          ? std::string(test->test_suite_name()) + "." + test->name()
+          : "no_test";
+  return internal::PrivateTempDirs::Instance().For(test_name) + "/" + name;
 }
 
 }  // namespace hmmm::testing

@@ -407,6 +407,42 @@ TEST(CodecV2Test, V1EncodingOmitsTraceFields) {
   EXPECT_TRUE(decoded_resp->trace_blob.empty());
 }
 
+TEST(CodecTest, StatsCarryCubePruningCountersFromV4) {
+  TemporalQueryResponse response;
+  response.results = {MakePattern(0.5)};
+  response.has_stats = true;
+  response.stats.states_visited = 27659;
+  response.stats.heap_pops = 8021;
+  response.stats.grid_cells_skipped = 19638;
+  response.trace_blob = "blob";
+
+  const auto v4 = DecodeTemporalQueryResponse(
+      EncodeTemporalQueryResponse(response, 4), 4);
+  ASSERT_TRUE(v4.ok()) << v4.status();
+  EXPECT_EQ(v4->stats.states_visited, 27659u);
+  EXPECT_EQ(v4->stats.heap_pops, 8021u);
+  EXPECT_EQ(v4->stats.grid_cells_skipped, 19638u);
+  EXPECT_EQ(v4->trace_blob, "blob");
+
+  // A v3 answer stops before the counters: a v3 peer decodes it as
+  // before, with both counters at 0.
+  const std::string v3_bytes = EncodeTemporalQueryResponse(response, 3);
+  EXPECT_EQ(v3_bytes.size() + 16,
+            EncodeTemporalQueryResponse(response, 4).size());
+  const auto v3 = DecodeTemporalQueryResponse(v3_bytes, 3);
+  ASSERT_TRUE(v3.ok()) << v3.status();
+  EXPECT_EQ(v3->stats.states_visited, 27659u);
+  EXPECT_EQ(v3->stats.heap_pops, 0u);
+  EXPECT_EQ(v3->stats.grid_cells_skipped, 0u);
+  EXPECT_EQ(v3->trace_blob, "blob");
+  EXPECT_FALSE(DecodeTemporalQueryResponse(v3_bytes, 4).ok());
+
+  // Without stats, v4 adds nothing.
+  response.has_stats = false;
+  EXPECT_EQ(EncodeTemporalQueryResponse(response, 4),
+            EncodeTemporalQueryResponse(response, 3));
+}
+
 TEST(CodecV2Test, TruncatedV2PayloadsRejected) {
   TemporalQueryRequest request;
   request.text = "corner_kick then goal";
