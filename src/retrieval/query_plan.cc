@@ -180,16 +180,17 @@ void EventBitmapIndex::StoreVideoOrder(const DenseBitset& containing,
 
 void EventBitmapIndex::StatesAnnotatedForStep(VideoId video,
                                               const PatternStep& step,
-                                              DenseBitset* out) const {
+                                              DenseBitset* out,
+                                              DenseBitset* scratch) const {
   const auto base = static_cast<size_t>(video) * num_events_;
-  DenseBitset scratch(out->size());
+  if (scratch->size() != out->size()) scratch->Resize(out->size());
   out->Reset();
   for (const auto& alternative : step.alternatives) {
-    scratch.SetAll();
+    scratch->SetAll();
     for (EventId e : alternative) {
-      scratch.AndWith(shot_events_[base + static_cast<size_t>(e)]);
+      scratch->AndWith(shot_events_[base + static_cast<size_t>(e)]);
     }
-    out->OrWith(scratch);
+    out->OrWith(*scratch);
   }
 }
 
@@ -202,81 +203,79 @@ QueryPlan::QueryPlan(const HierarchicalModel& model,
       pattern_(pattern),
       scorer_(model, scorer_options),
       num_steps_(pattern.size()),
-      exact_priorities_(index.HasExactSims(scorer_options)) {
+      exact_priorities_(index.HasExactSims(scorer_options)),
+      step_videos_(num_steps_) {
   HMMM_CHECK(index_.FreshFor(model));
-  memo_epoch_.assign(model.num_global_states() * num_steps_, 0);
-  memo_value_.assign(memo_epoch_.size(), 0.0);
-  candidates_.resize(model.num_videos() * num_steps_);
-  if (exact_priorities_) {
-    // Combine the index's per-(state, event) sims into a flat
-    // (state x step) priority table once per plan: priorities are
-    // query-scoped (no walk state feeds them), and a table lookup keeps
-    // the per-cell cost of the cube-pruned frontier to one multiply.
-    // The combination mirrors SimilarityScorer::StepSimilarity
-    // bit-for-bit: events of an alternative sum in declaration order,
-    // the mean divides once, and the best alternative wins by
-    // (first || mean > best). Any drift here would desynchronize the
-    // frontier's priorities from the true weights and break the ranking
-    // guarantee, so keep the arithmetic in lockstep.
-    priorities_.resize(memo_epoch_.size());
-    const auto num_states = static_cast<size_t>(model.num_global_states());
-    for (size_t state = 0; state < num_states; ++state) {
-      for (size_t step = 0; step < num_steps_; ++step) {
-        double best = 0.0;
-        bool first = true;
-        for (const auto& alternative : pattern_.steps[step].alternatives) {
-          if (alternative.empty()) continue;
-          double sum = 0.0;
-          for (EventId e : alternative) {
-            sum += index_.EventSimilarity(static_cast<int>(state), e);
-          }
-          const double mean = sum / static_cast<double>(alternative.size());
-          if (first || mean > best) {
-            best = mean;
-            first = false;
-          }
-        }
-        priorities_[state * num_steps_ + step] = first ? 0.0 : best;
-      }
-    }
-  }
 }
 
 void QueryPlan::BeginVideoWalk() {
-  ++epoch_;
+  memo_.Clear();
+  candidates_.Clear();
+  candidate_lists_used_ = 0;
   arena_.clear();
 }
 
 double QueryPlan::StepSimilarity(int state, size_t step_index) {
-  const size_t slot = static_cast<size_t>(state) * num_steps_ + step_index;
-  if (memo_epoch_[slot] == epoch_) {
+  const uint64_t key = Key(static_cast<size_t>(state), step_index);
+  if (const double* memoized = memo_.Find(key)) {
     ++memo_hits_;
-    return memo_value_[slot];
+    return *memoized;
   }
   const double value =
       scorer_.StepSimilarity(state, pattern_.steps[step_index]);
-  memo_epoch_[slot] = epoch_;
-  memo_value_[slot] = value;
+  memo_.Insert(key, value);
   return value;
+}
+
+double QueryPlan::StepPriority(int state, size_t step_index) const {
+  if (!exact_priorities_) return std::numeric_limits<double>::infinity();
+  // Mirrors SimilarityScorer::StepSimilarity bit-for-bit over the index's
+  // precomputed sims: events of an alternative sum in declaration order,
+  // the mean divides once, and the best alternative wins by
+  // (first || mean > best). Any drift here would desynchronize the
+  // frontier's priorities from the true weights and break the ranking
+  // guarantee, so keep the arithmetic in lockstep.
+  double best = 0.0;
+  bool first = true;
+  for (const auto& alternative : pattern_.steps[step_index].alternatives) {
+    if (alternative.empty()) continue;
+    double sum = 0.0;
+    for (EventId e : alternative) sum += index_.EventSimilarity(state, e);
+    const double mean = sum / static_cast<double>(alternative.size());
+    if (first || mean > best) {
+      best = mean;
+      first = false;
+    }
+  }
+  return first ? 0.0 : best;
 }
 
 const std::vector<int>& QueryPlan::AnnotatedStates(VideoId video,
                                                    size_t step_index) {
-  CandidateEntry& entry =
-      candidates_[static_cast<size_t>(video) * num_steps_ + step_index];
-  if (entry.epoch == epoch_) {
+  const uint64_t key = Key(static_cast<size_t>(video), step_index);
+  if (const uint32_t* cached = candidates_.Find(key)) {
     ++candidate_reuse_;
-    return entry.states;
+    return candidate_lists_[*cached];
   }
-  entry.epoch = epoch_;
-  entry.states.clear();
-  const size_t n = model_.local(video).num_states();
-  if (step_scratch_.size() != n) step_scratch_ = DenseBitset(n);
+  if (candidate_lists_used_ == candidate_lists_.size()) {
+    candidate_lists_.emplace_back();
+  }
+  const auto slot = static_cast<uint32_t>(candidate_lists_used_++);
+  candidates_.Insert(key, slot);
+  std::vector<int>& states = candidate_lists_[slot];
+  states.clear();
+  step_states_.Resize(model_.local(video).num_states());
   index_.StatesAnnotatedForStep(video, pattern_.steps[step_index],
-                                &step_scratch_);
-  step_scratch_.ForEachSetBit(
-      [&](size_t t) { entry.states.push_back(static_cast<int>(t)); });
-  return entry.states;
+                                &step_states_, &step_scratch_);
+  step_states_.ForEachSetBit(
+      [&](size_t t) { states.push_back(static_cast<int>(t)); });
+  return states;
+}
+
+const DenseBitset& QueryPlan::StepVideos(size_t step_index) {
+  std::optional<DenseBitset>& videos = step_videos_[step_index];
+  if (!videos) videos = index_.VideosContainingStep(pattern_.steps[step_index]);
+  return *videos;
 }
 
 void QueryPlan::MaterializePath(int id, std::vector<ShotId>* shots,

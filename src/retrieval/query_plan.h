@@ -3,10 +3,11 @@
 
 #include <compare>
 #include <cstdint>
-#include <limits>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/hierarchical_model.h"
@@ -46,6 +47,11 @@ class DenseBitset {
   /// Sets every bit in [0, size).
   void SetAll();
   void Reset();
+  /// Re-sizes to `size` cleared bits, reusing the word buffer's capacity.
+  void Resize(size_t size) {
+    size_ = size;
+    words_.assign((size + 63) / 64, 0);
+  }
 
   /// Lexicographic over (size, words); lets a bitset key an ordered map.
   auto operator<=>(const DenseBitset&) const = default;
@@ -165,9 +171,10 @@ class EventBitmapIndex {
 
   /// Fills `out` (sized to the video's local state count) with the local
   /// states annotated for `step`: OR over alternatives of AND over
-  /// per-event bitsets.
+  /// per-event bitsets. `scratch` is caller-owned AND workspace, re-sized
+  /// to match `out` in place, so a reused one costs no allocation.
   void StatesAnnotatedForStep(VideoId video, const PatternStep& step,
-                              DenseBitset* out) const;
+                              DenseBitset* out, DenseBitset* scratch) const;
 
   /// Precomputed Eq.-14 similarity of `global_state` to `event`. Bit-for-
   /// bit equal to what a SimilarityScorer computes at query time — the
@@ -225,24 +232,101 @@ class EventBitmapIndex {
   std::unique_ptr<OrderMemo> order_memo_ = std::make_unique<OrderMemo>();
 };
 
+/// Open-addressed map from a dense integer key to a value, scoped to one
+/// video walk: Clear() empties it in O(1) by bumping an epoch (a slot is
+/// live iff its stamp equals the current epoch) and keeps the capacity,
+/// so a worker's steady state allocates nothing. Linear probing over a
+/// power-of-two table that doubles past half full keeps lookups O(1)
+/// however many cells a walk pops. There is no erase, which is what lets
+/// a stale stamp double as "empty".
+template <typename Value>
+class WalkScopedMap {
+ public:
+  /// Buckets of a fresh map; the first growth happens past half of this.
+  static constexpr size_t kInitialBuckets = 64;
+
+  /// Empties the map, keeping its buckets.
+  void Clear() {
+    ++epoch_;  // 64 bits: never wraps
+    size_ = 0;
+  }
+
+  /// The live value stored under `key`, or null.
+  Value* Find(uint64_t key) {
+    if (slots_.empty()) return nullptr;
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.epoch != epoch_) return nullptr;
+      if (slot.key == key) return &slot.value;
+    }
+  }
+
+  /// Stores `value` under `key`, which must not be live.
+  void Insert(uint64_t key, Value value) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    size_t i = Home(key);
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
+    slots_[i] = Slot{key, epoch_, value};
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t epoch = 0;
+    Value value{};
+  };
+
+  size_t Home(uint64_t key) const {
+    // Fibonacci hashing: keys are dense (state * steps + step), so the
+    // multiply spreads neighbours before the top bits pick the bucket.
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Slot> old;
+    old.swap(slots_);
+    const size_t buckets = old.empty() ? kInitialBuckets : 2 * old.size();
+    slots_.assign(buckets, Slot{});
+    mask_ = buckets - 1;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(buckets));
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.epoch == epoch_) Insert(slot.key, slot.value);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  unsigned shift_ = 64;
+  // Starts above the slots' zero stamps so a fresh map is empty.
+  uint64_t epoch_ = 1;
+  size_t size_ = 0;
+};
+
 /// Query-tier scratch of the query-plan layer: one instance per worker
 /// thread per Retrieve() call. Owns the worker's SimilarityScorer and
 /// three caches that make the per-video lattice walk (Steps 3-6)
 /// beam-size-independent in its redundant work:
 ///
-///  - a flat (global state x pattern step) memo of Eq.-15 StepSimilarity
-///    values, so each pair is scored at most once per video walk,
+///  - a memo of Eq.-15 StepSimilarity values keyed by (global state,
+///    pattern step), so each pair is scored at most once per video walk,
 ///  - per-(video, step) candidate-state lists (the Step-3 "annotated as
 ///    e_j" set), computed from the model-tier bitsets once and sliced per
 ///    beam path instead of rescanned,
 ///  - a parent-pointer path arena replacing O(length) Path copies per
 ///    expansion; survivors are materialized only at Step 6.
 ///
-/// All caches are scoped to one video walk (BeginVideoWalk bumps an
-/// epoch): each video is walked exactly once per query, and the per-walk
-/// scope keeps every RetrievalStats counter — including sim_evaluations
-/// and the new sim_memo_hits / candidate_list_reuse — byte-identical at
-/// any thread count, because a walk never observes another walk's cache.
+/// Construction is O(pattern): the two keyed caches are WalkScopedMaps
+/// sized by what a walk touches (a handful of cells per video at 100x
+/// scale), not by the number of global states or videos, and the
+/// frontier's priorities are combined on demand from the index.
+///
+/// All caches are scoped to one video walk (BeginVideoWalk empties them):
+/// each video is walked exactly once per query, and the per-walk scope
+/// keeps every RetrievalStats counter — including sim_evaluations and
+/// sim_memo_hits / candidate_list_reuse — byte-identical at any thread
+/// count, because a walk never observes another walk's cache.
 class QueryPlan {
  public:
   /// One arena node: the path edge into `state` with Eq.-13 weight
@@ -264,8 +348,8 @@ class QueryPlan {
   SimilarityScorer& scorer() { return scorer_; }
   const SimilarityScorer& scorer() const { return scorer_; }
 
-  /// Starts a new per-video walk: invalidates the memo and candidate
-  /// caches (O(1) epoch bump) and resets the path arena.
+  /// Starts a new per-video walk: empties the memo and candidate caches
+  /// (O(1), capacity kept) and resets the path arena.
   void BeginVideoWalk();
 
   /// Memoized Eq.-15 similarity of `state` to pattern step `step_index`.
@@ -275,18 +359,12 @@ class QueryPlan {
 
   /// The priority oracle of the cube-pruned frontier: when
   /// exact_priorities() is true this returns EXACTLY the value
-  /// StepSimilarity would (the index's precomputed per-event sims,
-  /// combined at plan build with the same sum-in-order / divide / max-by
-  /// arithmetic into a flat (state x step) table), without touching the
-  /// scorer or its evaluation counter. Otherwise it returns +infinity —
-  /// an admissible bound that makes every frontier cell pop, reproducing
-  /// the unpruned search.
-  double StepPriority(int state, size_t step_index) const {
-    if (!exact_priorities_) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return priorities_[static_cast<size_t>(state) * num_steps_ + step_index];
-  }
+  /// StepSimilarity would, combined on demand from the index's
+  /// precomputed per-event sims with the scorer's sum-in-order / divide /
+  /// max-by arithmetic, without touching the scorer or its evaluation
+  /// counter. Otherwise it returns +infinity — an admissible bound that
+  /// makes every frontier cell pop, reproducing the unpruned search.
+  double StepPriority(int state, size_t step_index) const;
 
   /// True when the index's precomputed sims match this plan's scorer
   /// options, i.e. StepPriority is exact rather than +infinity.
@@ -295,7 +373,13 @@ class QueryPlan {
   /// Sorted local states of `video` annotated for step `step_index`
   /// (Step 3's candidate set before range slicing). Computed once per
   /// walk per (video, step); repeats are counted in candidate_reuse().
+  /// The reference stays valid until the next BeginVideoWalk.
   const std::vector<int>& AnnotatedStates(VideoId video, size_t step_index);
+
+  /// Videos containing pattern step `step_index` (the index's
+  /// VideosContainingStep), computed on first use and kept for the plan's
+  /// lifetime: it depends on the step alone, not on the walk.
+  const DenseBitset& StepVideos(size_t step_index);
 
   // -- Path arena -------------------------------------------------------
   /// Appends a node and returns its arena id.
@@ -317,33 +401,36 @@ class QueryPlan {
   size_t candidate_reuse() const { return candidate_reuse_; }
 
  private:
+  uint64_t Key(size_t major, size_t step_index) const {
+    return static_cast<uint64_t>(major) * num_steps_ + step_index;
+  }
+
   const HierarchicalModel& model_;
   const EventBitmapIndex& index_;
   const TemporalPattern& pattern_;
   SimilarityScorer scorer_;
 
-  // Starts above the stamp vectors' zero-fill so a plan is consistent
-  // even before the first BeginVideoWalk().
-  uint32_t epoch_ = 1;
   size_t num_steps_ = 0;
   bool exact_priorities_ = false;
-  // (state x step) exact step priorities, filled at construction when
-  // exact_priorities_ (query-scoped: they do not depend on the walk).
-  std::vector<double> priorities_;
 
-  // (state x step) Eq.-15 memo; a slot is valid iff its stamp == epoch_.
-  std::vector<uint32_t> memo_epoch_;
-  std::vector<double> memo_value_;
+  // (global state, step) -> Eq.-15 similarity.
+  WalkScopedMap<double> memo_;
   size_t memo_hits_ = 0;
 
-  struct CandidateEntry {
-    uint32_t epoch = 0;
-    std::vector<int> states;  // sorted ascending
-  };
-  // (video x step) annotated candidate lists, epoch-scoped like the memo.
-  std::vector<CandidateEntry> candidates_;
+  // (video, step) -> index into candidate_lists_. The lists live in a
+  // deque so a returned reference survives later insertions; the first
+  // candidate_lists_used_ are this walk's, the rest keep their capacity
+  // for later walks.
+  WalkScopedMap<uint32_t> candidates_;
+  std::deque<std::vector<int>> candidate_lists_;
+  size_t candidate_lists_used_ = 0;
   size_t candidate_reuse_ = 0;
-  DenseBitset step_scratch_;  // reused AND/OR scratch for candidate builds
+  // Reused result and AND scratch of the candidate builds.
+  DenseBitset step_states_;
+  DenseBitset step_scratch_;
+
+  // [step] -> StepVideos(step), built on first use.
+  std::vector<std::optional<DenseBitset>> step_videos_;
 
   std::vector<PathNode> arena_;
 };

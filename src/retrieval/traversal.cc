@@ -336,12 +336,10 @@ void HmmmTraversal::BuildCrossCells(QueryPlan& plan, const PathRef& path,
   // Rank candidate next videos by A2 affinity from the current one,
   // preferring videos that contain the anticipated event (Fig. 3's
   // higher-level hand-over). Containment comes from the step's video
-  // bitset (B2 positivity) instead of per-video B2 row scans.
-  const PatternStep& pattern_step = plan.pattern().steps[step_index];
+  // bitset (B2 positivity), built once per plan instead of per dead end.
   std::vector<VideoId>& candidates = scratch.cross_videos;
   candidates.clear();
-  const DenseBitset step_videos = plan.index().VideosContainingStep(pattern_step);
-  step_videos.ForEachSetBit([&](size_t v) {
+  plan.StepVideos(step_index).ForEachSetBit([&](size_t v) {
     const auto video = static_cast<VideoId>(v);
     if (video == path.current_video) return;
     if (model_.local(video).num_states() == 0) return;

@@ -137,7 +137,8 @@ TEST_F(EventBitmapIndexTest, EmptyAlternativeIsTriviallySatisfied) {
   step.alternatives = {{}};  // AND over zero events
   EXPECT_EQ(index.VideosContainingStep(step).Count(), model_.num_videos());
   DenseBitset states(model_.local(0).num_states());
-  index.StatesAnnotatedForStep(0, step, &states);
+  DenseBitset scratch;
+  index.StatesAnnotatedForStep(0, step, &states, &scratch);
   EXPECT_EQ(states.Count(), model_.local(0).num_states());
 }
 
@@ -273,14 +274,127 @@ TEST_F(QueryPlanTest, PathArenaMaterializesHeadFirst) {
   EXPECT_EQ(weights, (std::vector<double>{0.5, 0.25, 0.125}));
 }
 
-// -- Exact priorities (the cube-pruned frontier's oracle) -----------------
+// -- Walk-scoped caches ---------------------------------------------------
 
-// Under default scorer options the flat priority table must mirror what
-// the scorer would compute, bit for bit, without costing an evaluation —
-// that equality is what lets SelectWinners skip cells unevaluated.
-TEST_F(QueryPlanTest, ExactPrioritiesMirrorStepSimilarityBitForBit) {
+// More distinct (state, step) pairs than the memo's initial buckets: the
+// table grows mid-walk and every stored value must survive the rehash.
+TEST_F(QueryPlanTest, MemoSurvivesGrowthPastItsInitialCapacity) {
   const EventBitmapIndex index(model_, catalog_);
   const auto pattern = TemporalPattern::FromEvents({2, 0, 1});
+  QueryPlan plan(model_, index, pattern, ScorerOptions{});
+  const size_t num_states = model_.num_global_states();
+  const size_t pairs = num_states * pattern.size();
+  ASSERT_GT(pairs, 2 * WalkScopedMap<double>::kInitialBuckets);
+
+  SimilarityScorer reference(model_, ScorerOptions{});
+  plan.BeginVideoWalk();
+  for (size_t s = 0; s < num_states; ++s) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      EXPECT_EQ(plan.StepSimilarity(static_cast<int>(s), j),
+                reference.StepSimilarity(static_cast<int>(s),
+                                         pattern.steps[j]))
+          << "state " << s << " step " << j;
+    }
+  }
+  EXPECT_EQ(plan.memo_hits(), 0u);
+  const size_t evaluations = plan.scorer().evaluations();
+
+  // Every repeat is an exact hit, costs no evaluation, and returns the
+  // same bits the first call did.
+  for (size_t s = 0; s < num_states; ++s) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      EXPECT_EQ(plan.StepSimilarity(static_cast<int>(s), j),
+                reference.StepSimilarity(static_cast<int>(s),
+                                         pattern.steps[j]))
+          << "state " << s << " step " << j;
+    }
+  }
+  EXPECT_EQ(plan.memo_hits(), pairs);
+  EXPECT_EQ(plan.scorer().evaluations(), evaluations);
+
+  // BeginVideoWalk empties the grown memo: every pair is paid again.
+  plan.BeginVideoWalk();
+  for (size_t s = 0; s < num_states; ++s) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      plan.StepSimilarity(static_cast<int>(s), j);
+    }
+  }
+  EXPECT_EQ(plan.memo_hits(), pairs);
+  EXPECT_EQ(plan.scorer().evaluations(), 2 * evaluations);
+}
+
+// Candidate lists for more (video, step) keys than the cache's initial
+// buckets: a reference taken first must stay valid while the cache grows,
+// and BeginVideoWalk must empty the grown cache.
+TEST_F(QueryPlanTest, AnnotatedStatesReferenceSurvivesLaterInsertions) {
+  const EventBitmapIndex index(model_, catalog_);
+  const auto pattern = TemporalPattern::FromEvents({2, 0, 1, 3, 2, 0, 1, 3});
+  QueryPlan plan(model_, index, pattern, ScorerOptions{});
+  const size_t keys = model_.num_videos() * pattern.size();
+  ASSERT_GT(keys, WalkScopedMap<uint32_t>::kInitialBuckets);
+
+  plan.BeginVideoWalk();
+  const std::vector<int>& first = plan.AnnotatedStates(0, 0);
+  const std::vector<int> first_copy = first;
+  std::vector<std::vector<int>> lists;
+  for (size_t v = 0; v < model_.num_videos(); ++v) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      lists.push_back(plan.AnnotatedStates(static_cast<VideoId>(v), j));
+    }
+  }
+  EXPECT_EQ(first, first_copy);
+  EXPECT_EQ(&plan.AnnotatedStates(0, 0), &first);
+  EXPECT_EQ(plan.candidate_reuse(), 2u);  // (0, 0) in the loop, then above
+
+  // Repeats are all served from the cache with unchanged contents.
+  size_t at = 0;
+  for (size_t v = 0; v < model_.num_videos(); ++v) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      EXPECT_EQ(plan.AnnotatedStates(static_cast<VideoId>(v), j), lists[at++])
+          << "video " << v << " step " << j;
+    }
+  }
+  EXPECT_EQ(plan.candidate_reuse(), 2u + keys);
+
+  // A new walk recomputes every list to the same contents.
+  plan.BeginVideoWalk();
+  at = 0;
+  for (size_t v = 0; v < model_.num_videos(); ++v) {
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      EXPECT_EQ(plan.AnnotatedStates(static_cast<VideoId>(v), j), lists[at++])
+          << "video " << v << " step " << j;
+    }
+  }
+  EXPECT_EQ(plan.candidate_reuse(), 2u + keys);
+}
+
+// The step's video set is built once and agrees with the index.
+TEST_F(QueryPlanTest, StepVideosMatchTheIndex) {
+  const EventBitmapIndex index(model_, catalog_);
+  TemporalPattern pattern = TemporalPattern::FromEvents({2, 0});
+  pattern.steps[1].alternatives = {{1}, {3, 0}};
+  QueryPlan plan(model_, index, pattern, ScorerOptions{});
+  for (size_t j = 0; j < pattern.size(); ++j) {
+    const DenseBitset& videos = plan.StepVideos(j);
+    EXPECT_EQ(videos, index.VideosContainingStep(pattern.steps[j])) << j;
+    EXPECT_EQ(&plan.StepVideos(j), &videos) << j;
+  }
+}
+
+// -- Exact priorities (the cube-pruned frontier's oracle) -----------------
+
+// Under default scorer options the on-demand priorities must mirror what
+// the scorer would compute, bit for bit, without costing an evaluation —
+// that equality is what lets SelectWinners skip cells unevaluated. Every
+// step shape: single events, a conjunction (&), a disjunction (|), an
+// empty alternative beside a real one, and only an empty alternative.
+TEST_F(QueryPlanTest, ExactPrioritiesMirrorStepSimilarityBitForBit) {
+  const EventBitmapIndex index(model_, catalog_);
+  auto pattern = TemporalPattern::FromEvents({2, 0, 1, 0, 0, 0, 0});
+  pattern.steps[3].alternatives = {{2, 0, 1}};
+  pattern.steps[4].alternatives = {{1}, {3}, {0, 2}};
+  pattern.steps[5].alternatives = {{}, {3, 1}};
+  pattern.steps[6].alternatives = {{}};
   QueryPlan plan(model_, index, pattern, ScorerOptions{});
   ASSERT_TRUE(plan.exact_priorities());
 
@@ -293,13 +407,14 @@ TEST_F(QueryPlanTest, ExactPrioritiesMirrorStepSimilarityBitForBit) {
                                          pattern.steps[j]))
           << "state " << s << " step " << j;
     }
+    EXPECT_EQ(plan.StepPriority(static_cast<int>(s), 6), 0.0);
   }
   // Reading priorities never touches the plan's scorer.
   EXPECT_EQ(plan.scorer().evaluations(), evals_before);
 }
 
 // The precomputed per-(state, event) sims in the index are the inputs to
-// that table; they must match a query-time scorer exactly as well.
+// those priorities; they must match a query-time scorer exactly as well.
 TEST_F(QueryPlanTest, IndexEventSimilarityMatchesScorerBitForBit) {
   const EventBitmapIndex index(model_, catalog_);
   SimilarityScorer reference(model_, ScorerOptions{});

@@ -586,6 +586,58 @@ TEST_P(ReferenceEquivalenceTest, CubePrunedSweepIsByteIdenticalEverywhere) {
 INSTANTIATE_TEST_SUITE_P(RandomizedModels, ReferenceEquivalenceTest,
                          ::testing::Values(3u, 11u, 29u, 47u));
 
+/// Counters of one retrieval pinned by PinnedCountersOfCrossVideoBeam16.
+struct PinnedCounters {
+  size_t sim_memo_hits = 0;
+  size_t candidate_list_reuse = 0;
+  size_t sim_evaluations = 0;
+  size_t heap_pops = 0;
+  size_t grid_cells_skipped = 0;
+};
+
+// The walk-scoped caches' work counters, pinned to the values the dense
+// (state x step) memo and (video x step) candidate table produced on the
+// same seed. Beam 16 with cross-video hand-over is the walk that touches
+// the most cells and repeats the most (state, step) pairs; the feature
+// subset makes every frontier cell pop and pay through the memo.
+TEST(ReferenceEquivalenceTest, PinnedCountersOfCrossVideoBeam16) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(29, 14);
+  auto built = ModelBuilder(catalog).Build();
+  ASSERT_TRUE(built.ok());
+  const HierarchicalModel model = std::move(built).value();
+  const auto pattern = TemporalPattern::FromEvents({1, 3, 0, 2});
+
+  ScorerOptions subset;
+  subset.feature_subset = {0, 1, 2, 3, 4, 5};
+  const std::vector<std::pair<ScorerOptions, PinnedCounters>> cases = {
+      {ScorerOptions{}, {117, 952, 283, 400, 3038}},
+      {subset, {2234, 951, 1192, 3426, 0}},
+  };
+  for (const auto& [scorer, expected] : cases) {
+    const bool exact = scorer.feature_subset.empty();
+    for (int threads : {1, 4}) {
+      const std::string label = std::string(exact ? "exact" : "subset") +
+                                " threads=" + std::to_string(threads);
+      TraversalOptions options;
+      options.beam_width = 16;
+      options.cross_video = true;
+      options.num_threads = threads;
+      options.scorer = scorer;
+      const HmmmTraversal traversal(model, catalog, options);
+      RetrievalStats stats;
+      ASSERT_TRUE(traversal.Retrieve(pattern, &stats).ok()) << label;
+      EXPECT_GT(stats.sim_memo_hits, 0u) << label;
+      EXPECT_EQ(stats.sim_memo_hits, expected.sim_memo_hits) << label;
+      EXPECT_EQ(stats.candidate_list_reuse, expected.candidate_list_reuse)
+          << label;
+      EXPECT_EQ(stats.sim_evaluations, expected.sim_evaluations) << label;
+      EXPECT_EQ(stats.heap_pops, expected.heap_pops) << label;
+      EXPECT_EQ(stats.grid_cells_skipped, expected.grid_cells_skipped)
+          << label;
+    }
+  }
+}
+
 /// Step-2 first steps of every shape: single events, a conjunction
 /// (free_kick & goal) and a disjunction (corner_kick | foul).
 std::vector<TemporalPattern> FirstStepShapes() {
