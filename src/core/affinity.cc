@@ -38,10 +38,8 @@ StatusOr<Matrix> InitialShotAffinity(const std::vector<int>& event_counts) {
   return a1;
 }
 
-namespace {
-
-Status ValidatePatterns(size_t num_states,
-                        const std::vector<AccessPattern>& patterns) {
+Status ValidateAccessPatterns(size_t num_states,
+                              const std::vector<AccessPattern>& patterns) {
   for (const AccessPattern& pattern : patterns) {
     if (pattern.access_count < 0.0) {
       return Status::InvalidArgument("negative access count");
@@ -56,15 +54,13 @@ Status ValidatePatterns(size_t num_states,
   return Status::OK();
 }
 
-}  // namespace
-
 StatusOr<Matrix> AccumulateShotAffinity(
     const Matrix& prior, const std::vector<AccessPattern>& patterns) {
   if (prior.rows() != prior.cols()) {
     return Status::InvalidArgument("prior affinity must be square");
   }
   const size_t n = prior.rows();
-  HMMM_RETURN_IF_ERROR(ValidatePatterns(n, patterns));
+  HMMM_RETURN_IF_ERROR(ValidateAccessPatterns(n, patterns));
 
   // co_access(m, n) = sum_k use(m,k) * use(n,k) * access(k), m <= n.
   Matrix co_access(n, n, 0.0);
@@ -102,24 +98,6 @@ Matrix NormalizeAffinity(const Matrix& accumulated, const Matrix& prior) {
     }
   }
   return out;
-}
-
-StatusOr<Matrix> AccumulateVideoAffinity(
-    size_t num_videos, const std::vector<AccessPattern>& patterns) {
-  HMMM_RETURN_IF_ERROR(ValidatePatterns(num_videos, patterns));
-  Matrix af2(num_videos, num_videos, 0.0);
-  for (const AccessPattern& pattern : patterns) {
-    std::vector<int> states = pattern.states;
-    std::sort(states.begin(), states.end());
-    states.erase(std::unique(states.begin(), states.end()), states.end());
-    for (int m : states) {
-      for (int v : states) {
-        af2.at(static_cast<size_t>(m), static_cast<size_t>(v)) +=
-            pattern.access_count;
-      }
-    }
-  }
-  return af2;
 }
 
 std::vector<double> DistributionFromPatterns(

@@ -45,16 +45,16 @@ StatusOr<Matrix> AccumulateShotAffinity(
     const Matrix& prior, const std::vector<AccessPattern>& patterns);
 
 /// Row-normalizes an accumulated affinity matrix into a new transition
-/// matrix (Eq. 2 / Eq. 6). Rows with zero accumulated affinity keep the
-/// corresponding `prior` row, so A stays row-stochastic for states that
-/// were never part of a positive pattern.
+/// matrix (Eq. 2; OfflineLearner::ApplyVideoPatterns applies the same
+/// rule to A2 row by row for Eq. 6). Rows with zero accumulated affinity
+/// keep the corresponding `prior` row, so A stays row-stochastic for
+/// states that were never part of a positive pattern.
 Matrix NormalizeAffinity(const Matrix& accumulated, const Matrix& prior);
 
-/// Accumulates the video-level co-access matrix AF2 of Eq. 5 (no temporal
-/// restriction, no prior weighting):
-///   aff2(m,n) = sum_k use(m,k) * use(n,k) * access(k).
-StatusOr<Matrix> AccumulateVideoAffinity(
-    size_t num_videos, const std::vector<AccessPattern>& patterns);
+/// Checks every pattern in order: a negative access count is
+/// kInvalidArgument, a state outside [0, num_states) is kOutOfRange.
+Status ValidateAccessPatterns(size_t num_states,
+                              const std::vector<AccessPattern>& patterns);
 
 /// Derives an initial-state distribution from access patterns (Eq. 4 under
 /// either semantics, see PiSemantics). Returns `fallback` when the

@@ -23,6 +23,12 @@ StatusOr<std::vector<double>> HierarchicalModel::NormalizeFeatures(
   }
   std::vector<double> out(raw.size());
   for (size_t c = 0; c < raw.size(); ++c) {
+    // std::clamp passes NaN through, and a NaN similarity breaks every
+    // ranking order downstream.
+    if (!std::isfinite(raw[c])) {
+      return Status::InvalidArgument(
+          StrFormat("feature %zu is not a finite number", c));
+    }
     const double span = feature_maxima_[c] - feature_minima_[c];
     const double v = span > 0.0 ? (raw[c] - feature_minima_[c]) / span : 0.0;
     out[c] = std::clamp(v, 0.0, 1.0);

@@ -1,9 +1,8 @@
 #include "core/learner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
-
-#include "common/strings.h"
 
 namespace hmmm {
 
@@ -90,34 +89,17 @@ StatusOr<Matrix> ComputeFeatureWeights(const HierarchicalModel& model,
 
 Status OfflineLearner::ApplyShotPatterns(
     HierarchicalModel& model, const std::vector<AccessPattern>& patterns) const {
+  // Every check runs before the first video's A1 is rewritten.
+  HMMM_RETURN_IF_ERROR(
+      ValidateAccessPatterns(model.num_global_states(), patterns));
   // Split each global pattern into per-video fragments with local indices.
   std::map<VideoId, std::vector<AccessPattern>> per_video;
   for (const AccessPattern& pattern : patterns) {
     std::map<VideoId, AccessPattern> fragments;
     for (int state : pattern.states) {
-      if (state < 0 ||
-          static_cast<size_t>(state) >= model.num_global_states()) {
-        return Status::OutOfRange(
-            StrFormat("global state %d out of range", state));
-      }
-      // Locate the owning local model and the local index. Global states
-      // are laid out video-by-video in local order.
-      int remaining = state;
-      VideoId video = -1;
-      int local_index = -1;
-      for (const LocalShotModel& local : model.locals()) {
-        const int n = static_cast<int>(local.num_states());
-        if (remaining < n) {
-          video = local.video_id;
-          local_index = remaining;
-          break;
-        }
-        remaining -= n;
-      }
-      if (video < 0) return Status::Internal("state mapping failure");
-      AccessPattern& fragment = fragments[video];
+      AccessPattern& fragment = fragments[model.VideoOfGlobalState(state)];
       fragment.access_count = pattern.access_count;
-      fragment.states.push_back(local_index);
+      fragment.states.push_back(model.LocalStateIndexOf(state));
     }
     for (auto& [video, fragment] : fragments) {
       per_video[video].push_back(std::move(fragment));
@@ -139,11 +121,45 @@ Status OfflineLearner::ApplyShotPatterns(
 
 Status OfflineLearner::ApplyVideoPatterns(
     HierarchicalModel& model, const std::vector<AccessPattern>& patterns) const {
-  HMMM_ASSIGN_OR_RETURN(Matrix af2,
-                        AccumulateVideoAffinity(model.num_videos(), patterns));
-  model.mutable_a2() = NormalizeAffinity(af2, model.a2());
+  const size_t num_videos = model.num_videos();
+  HMMM_RETURN_IF_ERROR(ValidateAccessPatterns(num_videos, patterns));
+
+  // Eq. 5 restricted to the rows a pattern touches: every other row of
+  // AF2 is all zero, so Eq. 6 keeps its prior A2 row and it is never
+  // read or written. `use` is an indicator, so each pattern's states are
+  // de-duplicated.
+  std::vector<std::vector<int>> used(patterns.size());
+  std::vector<int> touched;
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    used[p] = patterns[p].states;
+    std::sort(used[p].begin(), used[p].end());
+    used[p].erase(std::unique(used[p].begin(), used[p].end()), used[p].end());
+    touched.insert(touched.end(), used[p].begin(), used[p].end());
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  // Row m of AF2 takes the patterns' counts in log order, then Eq. 6
+  // divides by its column-order sum: the same additions and divide as
+  // Eqs. 5-6 over the full matrix, so A2 is bit-identical to that
+  // (tests/dense_feedback_oracle.h).
+  std::vector<double> aff2(num_videos);
+  for (int m : touched) {
+    std::fill(aff2.begin(), aff2.end(), 0.0);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      if (!std::binary_search(used[p].begin(), used[p].end(), m)) continue;
+      for (int n : used[p]) {
+        aff2[static_cast<size_t>(n)] += patterns[p].access_count;
+      }
+    }
+    double sum = 0.0;
+    for (double value : aff2) sum += value;
+    if (sum <= 0.0) continue;  // no positive access: keep the prior row
+    double* row = model.mutable_a2().MutableRowPtr(static_cast<size_t>(m));
+    for (size_t n = 0; n < num_videos; ++n) row[n] = aff2[n] / sum;
+  }
   model.mutable_pi2() = DistributionFromPatterns(
-      model.num_videos(), patterns, options_.pi_semantics, model.pi2());
+      num_videos, patterns, options_.pi_semantics, model.pi2());
   model.BumpVersion();
   return Status::OK();
 }

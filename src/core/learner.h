@@ -47,7 +47,9 @@ class OfflineLearner {
                            const std::vector<AccessPattern>& patterns) const;
 
   /// Applies video-level patterns (states are VideoIds), updating A2
-  /// (Eqs. 5-6) and Pi2.
+  /// (Eqs. 5-6) and Pi2. Only the A2 rows of videos in some pattern can
+  /// change, so those rows are rewritten in place and no other row is
+  /// read or written. Every pattern is validated before the first write.
   Status ApplyVideoPatterns(HierarchicalModel& model,
                             const std::vector<AccessPattern>& patterns) const;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -9,25 +11,69 @@
 namespace hmmm {
 namespace {
 
-/// Flattened snapshot of every affinity matrix the learner rewrites
-/// (A2 followed by each local A1), used to measure update magnitude.
-std::vector<double> FlattenAffinities(const HierarchicalModel& model) {
-  std::vector<double> flat(model.a2().ptr(),
-                           model.a2().ptr() + model.a2().size());
-  for (const LocalShotModel& local : model.locals()) {
-    const double* a1 = local.a1.ptr();
-    flat.insert(flat.end(), a1, a1 + local.a1.size());
+/// The entries a training round may rewrite, copied before the round, in
+/// the order the L1 update magnitude sums them: the A2 rows of the videos
+/// in the video patterns, ascending, then the whole local A1 of each
+/// video in the shot patterns, ascending. Every other entry keeps its
+/// bits and would add exactly +0.0 to the sum, so leaving it out does not
+/// change the value. Invalid states are skipped; the learner rejects them.
+class RoundFootprint {
+ public:
+  RoundFootprint(const HierarchicalModel& model, const AccessLog& log) {
+    for (const AccessPattern& pattern : log.video_patterns()) {
+      for (int video : pattern.states) {
+        if (video >= 0 && static_cast<size_t>(video) < model.num_videos()) {
+          a2_rows_.push_back(static_cast<size_t>(video));
+        }
+      }
+    }
+    for (const AccessPattern& pattern : log.shot_patterns()) {
+      for (int state : pattern.states) {
+        if (state >= 0 &&
+            static_cast<size_t>(state) < model.num_global_states()) {
+          a1_videos_.push_back(model.VideoOfGlobalState(state));
+        }
+      }
+    }
+    std::sort(a2_rows_.begin(), a2_rows_.end());
+    a2_rows_.erase(std::unique(a2_rows_.begin(), a2_rows_.end()),
+                   a2_rows_.end());
+    std::sort(a1_videos_.begin(), a1_videos_.end());
+    a1_videos_.erase(std::unique(a1_videos_.begin(), a1_videos_.end()),
+                     a1_videos_.end());
+    ForEachSpan(model, [&](const double* first, size_t count) {
+      before_.insert(before_.end(), first, first + count);
+    });
   }
-  return flat;
-}
 
-double L1Diff(const std::vector<double>& before,
-              const std::vector<double>& after) {
-  double sum = 0.0;
-  const size_t n = std::min(before.size(), after.size());
-  for (size_t i = 0; i < n; ++i) sum += std::fabs(after[i] - before[i]);
-  return sum;
-}
+  /// L1 norm of the change since construction.
+  double L1Diff(const HierarchicalModel& model) const {
+    double sum = 0.0;
+    size_t i = 0;
+    ForEachSpan(model, [&](const double* first, size_t count) {
+      for (size_t c = 0; c < count; ++c) {
+        sum += std::fabs(first[c] - before_[i++]);
+      }
+    });
+    return sum;
+  }
+
+ private:
+  /// Calls visit(first, count) for each contiguous run of the footprint.
+  template <typename Visit>
+  void ForEachSpan(const HierarchicalModel& model, Visit visit) const {
+    const Matrix& a2 = model.a2();
+    for (size_t row : a2_rows_) visit(a2.RowPtr(row), a2.cols());
+    for (VideoId video : a1_videos_) {
+      const Matrix& a1 = model.local(video).a1;
+      visit(a1.ptr(), a1.size());
+    }
+  }
+
+  std::vector<size_t> a2_rows_;
+  std::vector<VideoId> a1_videos_;
+  std::vector<double> before_;
+};
 
 }  // namespace
 
@@ -84,10 +130,10 @@ StatusOr<bool> FeedbackTrainer::MaybeTrain(HierarchicalModel& model,
   }
   if (log_.num_feedback_events() == 0) return false;
 
-  // Snapshot the affinity matrices only when someone is listening: the
-  // copy is O(model size) and pure observability overhead otherwise.
-  std::vector<double> before;
-  if (update_magnitude_metric_ != nullptr) before = FlattenAffinities(model);
+  // Copy the round's footprint only when someone is listening; it is
+  // pure observability overhead otherwise.
+  std::optional<RoundFootprint> footprint;
+  if (update_magnitude_metric_ != nullptr) footprint.emplace(model, log_);
 
   OfflineLearner learner(OfflineLearnerOptions{options_.pi_semantics});
   HMMM_RETURN_IF_ERROR(learner.ApplyShotPatterns(model, log_.shot_patterns()));
@@ -100,7 +146,7 @@ StatusOr<bool> FeedbackTrainer::MaybeTrain(HierarchicalModel& model,
   ++rounds_trained_;
   if (rounds_metric_ != nullptr) rounds_metric_->Increment();
   if (update_magnitude_metric_ != nullptr) {
-    update_magnitude_metric_->Observe(L1Diff(before, FlattenAffinities(model)));
+    update_magnitude_metric_->Observe(footprint->L1Diff(model));
   }
   if (model_version_metric_ != nullptr) {
     model_version_metric_->Set(static_cast<double>(model.version()));

@@ -31,7 +31,8 @@ class FeedbackTrainer {
   /// Registers feedback metrics (marks, training rounds, A1/A2 update
   /// magnitude histogram, model-version gauge) in `registry`, which must
   /// outlive the trainer. When attached, each training round additionally
-  /// snapshots A2 and the local A1 matrices to record the L1 magnitude of
+  /// copies the entries it may rewrite (the A2 rows of the round's videos
+  /// and those videos' local A1 matrices) to record the L1 magnitude of
   /// the affinity update; unattached trainers skip that cost entirely.
   void AttachMetrics(MetricsRegistry* registry);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "retrieval/topk.h"
 
 namespace hmmm {
 
@@ -40,14 +41,26 @@ QbeMatcher::QbeMatcher(const HierarchicalModel& model, QbeOptions options)
 
 std::vector<QbeResult> QbeMatcher::RankAgainst(
     const std::vector<double>& normalized, int exclude_state) const {
+  if (options_.max_results == 0) return {};  // TopKHeap needs a capacity
   const Matrix& b1 = model_.b1();
   // Eq. 14 with the query sample playing the role of the event centroid
   // B1', scored through the shared kernel family (eq14_kernel.h): the
   // vector kernel for full-width queries, the indexed scalar sequence for
   // the paper's K-feature subsets.
   const bool dense = options_.feature_subset.empty();
-  std::vector<QbeResult> results;
-  results.reserve(model_.num_global_states());
+  // Rank by similarity descending, ties in state order; keep the best K.
+  struct Scored {
+    double similarity;
+    int state;
+  };
+  const auto better = [](const Scored& a, const Scored& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.state < b.state;
+  };
+  const size_t capacity = options_.max_results < 0
+                              ? model_.num_global_states()
+                              : static_cast<size_t>(options_.max_results);
+  TopKHeap<Scored, decltype(better)> best(capacity, better);
   for (size_t state = 0; state < model_.num_global_states(); ++state) {
     if (static_cast<int>(state) == exclude_state) continue;
     const double* row = b1.RowPtr(state);
@@ -57,15 +70,15 @@ std::vector<QbeResult> QbeMatcher::RankAgainst(
               : Eq14RowIndexed(row, normalized.data(), weights_.data(),
                                features_.data(), features_.size(),
                                options_.epsilon);
-    results.push_back(
-        QbeResult{model_.ShotOfGlobalState(static_cast<int>(state)), sim});
+    best.Push(Scored{sim, static_cast<int>(state)});
   }
-  std::stable_sort(results.begin(), results.end(),
-                   [](const QbeResult& a, const QbeResult& b) {
-                     return a.similarity > b.similarity;
-                   });
-  if (results.size() > static_cast<size_t>(options_.max_results)) {
-    results.resize(static_cast<size_t>(options_.max_results));
+  std::vector<Scored>& kept = best.entries();
+  std::sort(kept.begin(), kept.end(), better);
+  std::vector<QbeResult> results;
+  results.reserve(kept.size());
+  for (const Scored& s : kept) {
+    results.push_back(QbeResult{model_.ShotOfGlobalState(s.state),
+                                s.similarity});
   }
   return results;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_feedback_oracle.h"
+
 namespace hmmm {
 namespace {
 
@@ -104,9 +106,12 @@ TEST(NormalizeAffinityTest, Equation2RowNormalization) {
   EXPECT_TRUE(a1.IsRowStochastic(1e-12));
 }
 
+// The dense Eq.-5 accumulation survives as the test oracle for the
+// learner's row-sparse A2 update (dense_feedback_oracle.h); these cases
+// pin the oracle itself to the paper.
 TEST(AccumulateVideoAffinityTest, Equation5SymmetricCoAccess) {
   std::vector<AccessPattern> patterns = {{{0, 2}, 3.0}, {{1}, 1.0}};
-  auto af2 = AccumulateVideoAffinity(3, patterns);
+  auto af2 = testing::DenseAccumulateVideoAffinity(3, patterns);
   ASSERT_TRUE(af2.ok());
   // Videos 0 and 2 co-accessed 3 times, in both directions (no temporal
   // restriction at the video level).
@@ -118,7 +123,23 @@ TEST(AccumulateVideoAffinityTest, Equation5SymmetricCoAccess) {
 }
 
 TEST(AccumulateVideoAffinityTest, ValidatesStates) {
-  EXPECT_FALSE(AccumulateVideoAffinity(2, {{{3}, 1.0}}).ok());
+  EXPECT_FALSE(testing::DenseAccumulateVideoAffinity(2, {{{3}, 1.0}}).ok());
+}
+
+TEST(ValidateAccessPatternsTest, FirstBadPatternDecidesTheCode) {
+  EXPECT_TRUE(ValidateAccessPatterns(2, {}).ok());
+  EXPECT_TRUE(ValidateAccessPatterns(2, {{{0, 1, 1}, 0.0}}).ok());
+  EXPECT_EQ(ValidateAccessPatterns(2, {{{2}, 1.0}}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ValidateAccessPatterns(2, {{{-1}, 1.0}}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ValidateAccessPatterns(2, {{{0}, -1.0}}).code(),
+            StatusCode::kInvalidArgument);
+  // Patterns are checked in order; the count before the states.
+  EXPECT_EQ(ValidateAccessPatterns(2, {{{5}, -1.0}, {{7}, 1.0}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateAccessPatterns(2, {{{5}, 1.0}, {{0}, -1.0}}).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(DistributionFromPatternsTest, InitialStateSemantics) {

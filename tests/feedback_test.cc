@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
 #include "core/model_builder.h"
+#include "dense_feedback_oracle.h"
 #include "feedback/access_log.h"
 #include "feedback/simulated_user.h"
 #include "feedback/trainer.h"
@@ -184,6 +188,48 @@ TEST_F(FeedbackTest, SimulatedUserNoiseFlips) {
   results[1].shots = {3, 2};  // irrelevant -> flipped to positive
   const auto positives = user.JudgePositive(pattern, results);
   EXPECT_EQ(positives, (std::vector<size_t>{1}));
+}
+
+TEST(FeedbackMetricsTest, UpdateMagnitudeEqualsTheDenseL1BitForBit) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(41, 10);
+  auto built = ModelBuilder(catalog).Build();
+  ASSERT_TRUE(built.ok());
+  HierarchicalModel model = std::move(built).value();
+  MetricsRegistry registry;
+  FeedbackTrainer trainer(catalog);
+  trainer.AttachMetrics(&registry);
+  const Histogram* magnitude = registry.GetHistogram(
+      "hmmm_feedback_update_magnitude", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0});
+
+  Rng rng(4242);
+  const int num_states = static_cast<int>(model.num_global_states());
+  double expected = 0.0;
+  for (int round = 0; round < 8; ++round) {
+    // Marks over random states, so patterns span several videos and
+    // rounds revisit rows an earlier round rewrote.
+    const int marks = rng.NextInt(1, 6);
+    for (int m = 0; m < marks; ++m) {
+      RetrievedPattern pattern;
+      const int width = rng.NextInt(1, 4);
+      for (int i = 0; i < width; ++i) {
+        pattern.shots.push_back(
+            model.ShotOfGlobalState(rng.NextInt(0, num_states - 1)));
+      }
+      ASSERT_TRUE(trainer.MarkPositive(model, pattern).ok());
+    }
+    const std::vector<double> before = testing::DenseFlattenAffinities(model);
+    auto trained = trainer.MaybeTrain(model, /*force=*/true);
+    ASSERT_TRUE(trained.ok());
+    ASSERT_TRUE(*trained);
+    const double l1 =
+        testing::DenseL1Diff(before, testing::DenseFlattenAffinities(model));
+    EXPECT_GT(l1, 0.0);
+    expected += l1;
+    const double observed = magnitude->sum();
+    EXPECT_EQ(std::memcmp(&observed, &expected, sizeof(double)), 0)
+        << "round " << round << ": " << observed << " vs " << expected;
+  }
+  EXPECT_EQ(magnitude->count(), 8u);
 }
 
 }  // namespace

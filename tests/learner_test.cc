@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
 #include "core/model_builder.h"
+#include "dense_feedback_oracle.h"
 #include "test_util.h"
 
 namespace hmmm {
@@ -160,6 +164,176 @@ TEST(OfflineLearnerTest, RepeatedTrainingConverges) {
   const Matrix after_one = model.local(0).a1;
   ASSERT_TRUE(learner.ApplyShotPatterns(model, patterns).ok());
   EXPECT_LT(model.local(0).a1.MaxAbsDiff(after_one), 1e-12);
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.ptr(), b.ptr(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A video-level model of `num_videos` videos with a random prior A2 (some
+/// exact zeros) and Pi2: all that ApplyVideoPatterns reads.
+HierarchicalModel RandomVideoLevel(Rng& rng, size_t num_videos) {
+  HierarchicalModel model;
+  model.mutable_locals().resize(num_videos);
+  Matrix a2(num_videos, num_videos, 0.0);
+  for (size_t r = 0; r < num_videos; ++r) {
+    for (size_t c = 0; c < num_videos; ++c) {
+      if (!rng.NextBernoulli(0.2)) a2.at(r, c) = rng.NextDouble();
+    }
+  }
+  a2.NormalizeRows();
+  model.mutable_a2() = std::move(a2);
+  std::vector<double> pi2(num_videos);
+  for (double& p : pi2) p = rng.NextDouble();
+  model.mutable_pi2() = std::move(pi2);
+  return model;
+}
+
+/// A feedback round: repeated patterns, duplicate states, zero counts,
+/// empty patterns, and now and then a round whose every count is zero.
+std::vector<AccessPattern> RandomVideoRound(Rng& rng, size_t num_videos) {
+  const bool all_zero = rng.NextBernoulli(0.1);
+  const double counts[] = {0.0, 1.0, 1.0, 2.0, 3.5};
+  std::vector<AccessPattern> patterns(static_cast<size_t>(rng.NextInt(0, 12)));
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    if (p > 0 && rng.NextBernoulli(0.15)) {
+      patterns[p] = patterns[static_cast<size_t>(rng.NextInt(0, p - 1))];
+      continue;
+    }
+    const int width = rng.NextInt(0, 6);
+    for (int i = 0; i < width; ++i) {
+      patterns[p].states.push_back(
+          rng.NextInt(0, static_cast<int>(num_videos) - 1));
+    }
+    patterns[p].access_count =
+        rng.NextBernoulli(0.2) ? rng.NextDouble(0.0, 4.0)
+                               : counts[rng.NextInt(0, 4)];
+    if (all_zero) patterns[p].access_count = 0.0;
+  }
+  return patterns;
+}
+
+TEST(OfflineLearnerTest, VideoPatternsMatchTheDenseOracleBitForBit) {
+  Rng rng(20260611);
+  for (int round = 0; round < 200; ++round) {
+    const size_t num_videos = static_cast<size_t>(rng.NextInt(1, 60));
+    HierarchicalModel model = RandomVideoLevel(rng, num_videos);
+    const std::vector<AccessPattern> patterns =
+        RandomVideoRound(rng, num_videos);
+    const PiSemantics semantics = rng.NextBernoulli(0.5)
+                                      ? PiSemantics::kInitialStateCounts
+                                      : PiSemantics::kLiteralEquation4;
+    HierarchicalModel expected = model;
+    ASSERT_TRUE(
+        testing::DenseApplyVideoPatterns(expected, patterns, semantics).ok());
+
+    // Every third round reads a borrowed A2, as a snapshot-opened model
+    // does; the borrowed bytes must stay untouched.
+    const std::vector<double> prior(model.a2().ptr(),
+                                    model.a2().ptr() + model.a2().size());
+    std::vector<double> mapped = prior;
+    if (round % 3 == 0) {
+      model.mutable_a2() =
+          Matrix::FromBorrowed(mapped.data(), num_videos, num_videos);
+    }
+    ASSERT_TRUE(OfflineLearner(OfflineLearnerOptions{semantics})
+                    .ApplyVideoPatterns(model, patterns)
+                    .ok());
+    EXPECT_TRUE(SameBits(model.a2(), expected.a2())) << "round " << round;
+    EXPECT_TRUE(SameBits(model.pi2(), expected.pi2())) << "round " << round;
+    EXPECT_EQ(model.version(), expected.version());
+    EXPECT_TRUE(SameBits(mapped, prior)) << "round " << round;
+  }
+}
+
+TEST(OfflineLearnerTest, VideoRoundRewritesTouchedRowsInPlace) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(5, 12);
+  HierarchicalModel model = BuildSmallModel(catalog);
+  ASSERT_FALSE(model.a2().borrowed());
+  const double* storage = model.a2().ptr();
+  const Matrix before = model.a2();
+  std::vector<AccessPattern> patterns = {{{4, 1}, 2.0}, {{9, 9}, 0.0}};
+  ASSERT_TRUE(OfflineLearner().ApplyVideoPatterns(model, patterns).ok());
+
+  // Nothing V x V was allocated: the same buffer, rewritten in place.
+  EXPECT_EQ(model.a2().ptr(), storage);
+  for (size_t r = 0; r < model.num_videos(); ++r) {
+    const bool same = std::memcmp(model.a2().RowPtr(r), before.RowPtr(r),
+                                  before.cols() * sizeof(double)) == 0;
+    // Row 9's only pattern has count 0, so it keeps its prior row too.
+    EXPECT_EQ(same, r != 1 && r != 4) << "row " << r;
+  }
+  EXPECT_DOUBLE_EQ(model.a2().at(1, 4), 0.5);
+  EXPECT_DOUBLE_EQ(model.a2().at(4, 4), 0.5);
+}
+
+TEST(OfflineLearnerTest, InvalidPatternsFailBeforeAnyWrite) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(5, 6);
+  HierarchicalModel model = BuildSmallModel(catalog);
+  const HierarchicalModel before = model;
+  OfflineLearner learner;
+
+  // The bad pattern comes after a valid one that would rewrite rows.
+  EXPECT_EQ(learner.ApplyVideoPatterns(model, {{{0, 1}, 1.0}, {{6}, 1.0}})
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(learner.ApplyVideoPatterns(model, {{{0, 1}, 1.0}, {{2}, -1.0}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  const int past_end = static_cast<int>(model.num_global_states());
+  EXPECT_EQ(
+      learner.ApplyShotPatterns(model, {{{0, 1}, 1.0}, {{past_end}, 1.0}})
+          .code(),
+      StatusCode::kOutOfRange);
+  // A negative count in the last video's fragment must not leave the
+  // first video's A1 rewritten.
+  EXPECT_EQ(
+      learner.ApplyShotPatterns(model, {{{0, 1}, 1.0}, {{past_end - 1}, -1.0}})
+          .code(),
+      StatusCode::kInvalidArgument);
+
+  EXPECT_TRUE(SameBits(model.a2(), before.a2()));
+  EXPECT_TRUE(SameBits(model.pi2(), before.pi2()));
+  for (size_t v = 0; v < model.num_videos(); ++v) {
+    EXPECT_TRUE(SameBits(model.locals()[v].a1, before.locals()[v].a1));
+    EXPECT_TRUE(SameBits(model.locals()[v].pi1, before.locals()[v].pi1));
+  }
+  EXPECT_EQ(model.version(), before.version());
+}
+
+TEST(OfflineLearnerTest, ShotPatternsMapGlobalStatesToTheirVideos) {
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(5, 6);
+  HierarchicalModel model = BuildSmallModel(catalog);
+  // The first two states of video 3, then the first state of video 5.
+  int base3 = 0;
+  for (VideoId v = 0; v < 3; ++v) {
+    base3 += static_cast<int>(model.local(v).num_states());
+  }
+  int base5 = base3;
+  for (VideoId v = 3; v < 5; ++v) {
+    base5 += static_cast<int>(model.local(v).num_states());
+  }
+  ASSERT_GE(model.local(3).num_states(), 2u);
+  const HierarchicalModel before = model;
+  ASSERT_TRUE(OfflineLearner()
+                  .ApplyShotPatterns(model, {{{base3, base3 + 1, base5}, 1.0}})
+                  .ok());
+  // Eqs. 1-2 on local states 0 and 1 of video 3: row 0 keeps only its
+  // prior mass on those two states, renormalized.
+  const Matrix& prior = before.local(3).a1;
+  EXPECT_DOUBLE_EQ(model.local(3).a1.at(0, 1),
+                   prior.at(0, 1) / (prior.at(0, 0) + prior.at(0, 1)));
+  EXPECT_DOUBLE_EQ(model.local(3).pi1[0], 1.0);
+  EXPECT_DOUBLE_EQ(model.local(5).pi1[0], 1.0);
+  for (VideoId v : {0, 1, 2, 4}) {
+    EXPECT_TRUE(SameBits(model.local(v).a1, before.local(v).a1)) << v;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/model_builder.h"
 #include "test_util.h"
 
@@ -125,6 +127,66 @@ TEST_F(QbeTest, EventWeightedSimilarity) {
 TEST_F(QbeTest, WidthMismatchRejected) {
   QbeMatcher matcher(model_);
   EXPECT_FALSE(matcher.Retrieve({0.5, 0.5}).ok());
+}
+
+TEST_F(QbeTest, NonFiniteFeaturesRejected) {
+  QbeMatcher matcher(model_);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> example(8, 0.5);
+    example[3] = bad;
+    EXPECT_EQ(model_.NormalizeFeatures(example).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(matcher.Retrieve(example).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// The kept top K is the prefix of the full ranking, and the full ranking
+// orders by similarity descending with ties in state order (the small
+// catalog's shots with equal annotations have equal features, so ties
+// are real).
+TEST_F(QbeTest, TopKIsThePrefixOfTheFullStateOrder) {
+  const VideoCatalog generated = testing::GeneratedSoccerCatalog(9, 6);
+  auto generated_model = ModelBuilder(generated).Build();
+  ASSERT_TRUE(generated_model.ok());
+  for (const HierarchicalModel* model : {&model_, &*generated_model}) {
+    const size_t n = model->num_global_states();
+    std::vector<double> example(static_cast<size_t>(model->num_features()),
+                                0.3);
+    example[0] = 0.9;
+    QbeOptions all_options;
+    all_options.max_results = -1;
+    auto all = QbeMatcher(*model, all_options).Retrieve(example);
+    ASSERT_TRUE(all.ok());
+    ASSERT_EQ(all->size(), n);
+    bool saw_tie = false;
+    for (size_t i = 1; i < n; ++i) {
+      const QbeResult& a = (*all)[i - 1];
+      const QbeResult& b = (*all)[i];
+      ASSERT_GE(a.similarity, b.similarity);
+      if (a.similarity == b.similarity) {
+        saw_tie = true;
+        EXPECT_LT(model->GlobalStateOf(a.shot), model->GlobalStateOf(b.shot));
+      }
+    }
+    if (model == &model_) {
+      EXPECT_TRUE(saw_tie);
+    }
+    for (int k : {0, 1, 3, 5, static_cast<int>(n) - 1, static_cast<int>(n),
+                  static_cast<int>(n) + 4}) {
+      QbeOptions options;
+      options.max_results = k;
+      auto top = QbeMatcher(*model, options).Retrieve(example);
+      ASSERT_TRUE(top.ok());
+      ASSERT_EQ(top->size(), std::min(n, static_cast<size_t>(k))) << k;
+      for (size_t i = 0; i < top->size(); ++i) {
+        EXPECT_EQ((*top)[i].shot, (*all)[i].shot) << k;
+        EXPECT_EQ((*top)[i].similarity, (*all)[i].similarity) << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +414,32 @@ TEST(QueryServerTest, QueryByExampleMatchesInProcess) {
     EXPECT_EQ(response->results[i].shot, (*expected)[i].shot);
     EXPECT_EQ(response->results[i].similarity, (*expected)[i].similarity);
   }
+}
+
+TEST(QueryServerTest, NonFiniteQbeFeatureIsATypedErrorAndServingGoesOn) {
+  VideoDatabase db = MakeDatabase();
+  QueryServer server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryClient client(ClientOptions(server.port()));
+  QbeRequest request;
+  request.features = db.catalog().raw_features_of(0);
+  request.features[1] = std::numeric_limits<double>::quiet_NaN();
+  const auto rejected = client.QueryByExample(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_EQ(client.retries_performed(), 0u);
+  request.features[1] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(client.QueryByExample(request).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The server keeps serving, on the same connection.
+  request.features = db.catalog().raw_features_of(0);
+  EXPECT_TRUE(client.QueryByExample(request).ok());
+  TemporalQueryRequest query;
+  query.text = "free_kick ; goal";
+  EXPECT_TRUE(client.TemporalQuery(query).ok());
 }
 
 TEST(QueryServerTest, InvalidQueryTextSurfacesTypedNonRetriableError) {

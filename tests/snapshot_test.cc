@@ -1,7 +1,9 @@
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -341,6 +343,127 @@ TEST_F(SnapshotTest, TrainingCopiesOnWriteAndLeavesTheFileUntouched) {
 
   auto retrained_results = db->Query("free_kick ; goal");
   EXPECT_TRUE(retrained_results.ok()) << retrained_results.status();
+}
+
+bool SameRanking(const std::vector<RetrievedPattern>& a,
+                 const std::vector<RetrievedPattern>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].shots != b[i].shots || a[i].score != b[i].score ||
+        a[i].video != b[i].video || a[i].edge_weights != b[i].edge_weights ||
+        a[i].crosses_videos != b[i].crosses_videos) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Feedback rounds on a snapshot-opened database while four threads keep
+// querying it: the first round copies the mapped A2 on write under the
+// exclusive state lock, later rounds rewrite rows of it in place. Every
+// ranking a reader sees must be the serial replay's ranking after some
+// whole number of rounds, and after each round the database ranks
+// exactly as the replay does.
+class FeedbackUnderLoadTest : public SnapshotTest {};
+
+TEST_F(FeedbackUnderLoadTest, RankingsAfterEachRoundMatchASerialReplay) {
+  constexpr size_t kRounds = 3;
+  constexpr size_t kMarksPerRound = 2;
+  constexpr int kReaders = 4;
+  VideoDatabaseOptions options;
+  options.feedback.retrain_threshold = kMarksPerRound;
+  // Every read is a traversal over the model training rewrites.
+  options.query_cache_entries = 0;
+  options.traversal.num_threads = 2;
+  auto heap = VideoDatabase::Create(VideoCatalog(catalog_), options);
+  ASSERT_TRUE(heap.ok()) << heap.status();
+  ASSERT_TRUE(heap->WriteSnapshot(path_).ok());
+  const std::vector<std::string> queries = {"free_kick ; goal", "corner_kick",
+                                            "goal ; corner_kick ; foul"};
+
+  // Serial replay: expected[r][q] ranks query q after r rounds.
+  auto replay = VideoDatabase::OpenSnapshot(path_, options);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  auto first = replay->Query(queries[0]);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_FALSE(first->empty());
+  std::vector<std::vector<RetrievedPattern>> marks(kRounds);
+  for (size_t i = 0; i < kRounds * kMarksPerRound; ++i) {
+    marks[i / kMarksPerRound].push_back((*first)[i % first->size()]);
+  }
+  std::vector<std::vector<std::vector<RetrievedPattern>>> expected;
+  for (size_t round = 0; round <= kRounds; ++round) {
+    if (round > 0) {
+      for (const RetrievedPattern& mark : marks[round - 1]) {
+        ASSERT_TRUE(replay->MarkPositive(mark).ok());
+      }
+      ASSERT_EQ(replay->training_rounds(), round);
+    }
+    expected.emplace_back();
+    for (const std::string& query : queries) {
+      auto results = replay->Query(query);
+      ASSERT_TRUE(results.ok()) << results.status();
+      expected.back().push_back(*std::move(results));
+    }
+  }
+  bool training_moved_a_ranking = false;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    training_moved_a_ranking |=
+        !SameRanking(expected.front()[q], expected.back()[q]);
+  }
+  ASSERT_TRUE(training_moved_a_ranking);
+
+  auto db = VideoDatabase::OpenSnapshot(path_, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE(db->model().a2().borrowed());
+  std::atomic<int> reads{0};
+  std::atomic<int> unexpected{0};
+  // Stops and joins the readers on every exit, a failed assertion's too.
+  struct Readers {
+    std::atomic<bool> done{false};
+    std::vector<std::thread> threads;
+    void Stop() {
+      done.store(true);
+      for (std::thread& thread : threads) {
+        if (thread.joinable()) thread.join();
+      }
+    }
+    ~Readers() { Stop(); }
+  } readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.threads.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t); !readers.done.load(); ++i) {
+        const size_t q = i % queries.size();
+        auto results = db->Query(queries[q]);
+        bool known = false;
+        for (size_t r = 0; results.ok() && r <= kRounds && !known; ++r) {
+          known = SameRanking(expected[r][q], *results);
+        }
+        if (!known) unexpected.fetch_add(1);
+        reads.fetch_add(1);
+      }
+    });
+  }
+  auto let_readers_run = [&] {
+    const int target = reads.load() + kReaders;
+    while (reads.load() < target) std::this_thread::yield();
+  };
+  for (size_t round = 1; round <= kRounds; ++round) {
+    let_readers_run();
+    for (const RetrievedPattern& mark : marks[round - 1]) {
+      ASSERT_TRUE(db->MarkPositive(mark).ok());
+    }
+    EXPECT_EQ(db->training_rounds(), round);
+    EXPECT_FALSE(db->model().a2().borrowed());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto results = db->Query(queries[q]);
+      ASSERT_TRUE(results.ok()) << results.status();
+      ExpectIdenticalResults(expected[round][q], *results);
+    }
+  }
+  let_readers_run();
+  readers.Stop();
+  EXPECT_EQ(unexpected.load(), 0);
 }
 
 TEST_F(SnapshotTest, PublishRepointsCurrentAtomically) {
