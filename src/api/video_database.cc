@@ -3,7 +3,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/logging.h"
 #include "storage/model_io.h"
@@ -38,7 +37,7 @@ VideoDatabase::VideoDatabase(VideoCatalog catalog, HierarchicalModel model,
       trainer_(std::make_unique<FeedbackTrainer>(*catalog_,
                                                  options_.feedback)),
       pool_(MakeThreadPool(options_.traversal.num_threads)),
-      state_mutex_(std::make_unique<std::shared_mutex>()),
+      state_mutex_(std::make_unique<WriterPriorityMutex>()),
       index_cache_(std::make_unique<EventIndexCache>()),
       admission_(std::make_unique<Admission>()) {
   admission_->options = options_.admission;
@@ -171,20 +170,20 @@ StatusOr<VideoDatabase> VideoDatabase::CreateWithModel(
 
 Status VideoDatabase::Save(const std::string& catalog_path,
                            const std::string& model_path) const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   HMMM_RETURN_IF_ERROR(SaveCatalog(*catalog_, catalog_path));
   return model_->SaveToFile(model_path);
 }
 
 Status VideoDatabase::WriteSnapshot(const std::string& path,
                                     SnapshotWriteOptions options) const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   return ::hmmm::WriteSnapshot(*model_, *catalog_, path, options);
 }
 
 StatusOr<std::string> VideoDatabase::PublishSnapshot(const std::string& dir,
                                                      uint64_t generation) const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   return ::hmmm::PublishSnapshot(*model_, *catalog_, dir, generation);
 }
 
@@ -198,7 +197,7 @@ StatusOr<std::vector<RetrievedPattern>> VideoDatabase::Query(
     RetrievalStats* stats) const {
   TemporalPattern pattern;
   {
-    std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+    std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
     HMMM_ASSIGN_OR_RETURN(pattern,
                           CompileQuery(text, catalog_->vocabulary()));
   }
@@ -222,7 +221,7 @@ StatusOr<std::vector<RetrievedPattern>> VideoDatabase::Retrieve(
     const VideoDatabase* db;
     ~SlotGuard() { db->ReleaseSlot(); }
   } slot_guard{this};
-  std::shared_lock<std::shared_mutex> state_lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> state_lock(*state_mutex_);
   queries_total_->Increment();
 
   // Per-query controls override the database-wide defaults only when
@@ -309,20 +308,20 @@ StatusOr<std::vector<RetrievedPattern>> VideoDatabase::Retrieve(
 
 StatusOr<std::vector<QbeResult>> VideoDatabase::QueryByExample(
     const std::vector<double>& raw_features, QbeOptions options) const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   QbeMatcher matcher(*model_, std::move(options));
   return matcher.Retrieve(raw_features);
 }
 
 StatusOr<std::vector<QbeResult>> VideoDatabase::MoreLikeShot(
     ShotId shot, QbeOptions options) const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   QbeMatcher matcher(*model_, std::move(options));
   return matcher.RetrieveSimilarTo(shot);
 }
 
 Status VideoDatabase::MarkPositive(const RetrievedPattern& pattern) {
-  std::unique_lock<std::shared_mutex> lock(*state_mutex_);
+  std::unique_lock<WriterPriorityMutex> lock(*state_mutex_);
   HMMM_RETURN_IF_ERROR(trainer_->MarkPositive(*model_, pattern));
   HMMM_ASSIGN_OR_RETURN(bool trained, trainer_->MaybeTrain(*model_));
   // Training rewrites A1/Pi1/A2/Pi2 and bumps the model version; the
@@ -333,7 +332,7 @@ Status VideoDatabase::MarkPositive(const RetrievedPattern& pattern) {
 }
 
 StatusOr<bool> VideoDatabase::Train() {
-  std::unique_lock<std::shared_mutex> lock(*state_mutex_);
+  std::unique_lock<WriterPriorityMutex> lock(*state_mutex_);
   HMMM_ASSIGN_OR_RETURN(bool trained,
                         trainer_->MaybeTrain(*model_, /*force=*/true));
   if (trained && cache_ != nullptr) cache_->Clear();
@@ -341,7 +340,7 @@ StatusOr<bool> VideoDatabase::Train() {
 }
 
 Status VideoDatabase::ReplaceCatalog(VideoCatalog catalog) {
-  std::unique_lock<std::shared_mutex> lock(*state_mutex_);
+  std::unique_lock<WriterPriorityMutex> lock(*state_mutex_);
   HMMM_RETURN_IF_ERROR(catalog.Validate());
   HMMM_ASSIGN_OR_RETURN(
       HierarchicalModel model,
@@ -368,12 +367,12 @@ Status VideoDatabase::ReplaceCatalog(VideoCatalog catalog) {
 }
 
 size_t VideoDatabase::training_rounds() const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   return trainer_->rounds_trained();
 }
 
 VideoDatabase::HealthSnapshot VideoDatabase::Health() const {
-  std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+  std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
   HealthSnapshot health;
   health.videos = catalog_->num_videos();
   health.shots = catalog_->num_shots();
@@ -460,7 +459,7 @@ void VideoDatabase::RefreshResourceGauges() const {
 
 std::string VideoDatabase::DumpMetrics() const {
   {
-    std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+    std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
     RefreshResourceGauges();
   }
   return metrics_->RenderJson();
@@ -468,14 +467,14 @@ std::string VideoDatabase::DumpMetrics() const {
 
 std::string VideoDatabase::DumpMetricsPrometheus() const {
   {
-    std::shared_lock<std::shared_mutex> lock(*state_mutex_);
+    std::shared_lock<WriterPriorityMutex> lock(*state_mutex_);
     RefreshResourceGauges();
   }
   return metrics_->RenderPrometheus();
 }
 
 Status VideoDatabase::RebuildCategories() {
-  std::unique_lock<std::shared_mutex> lock(*state_mutex_);
+  std::unique_lock<WriterPriorityMutex> lock(*state_mutex_);
   return RebuildCategoriesLocked();
 }
 

@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "common/writer_priority_mutex.h"
 #include "core/category_level.h"
 #include "core/model_builder.h"
 #include "feedback/trainer.h"
@@ -258,8 +258,10 @@ class VideoDatabase {
   std::optional<CategoryLevel> categories_;
   /// Readers-writer lock over catalog_/model_/categories_/trainer_:
   /// queries share, mutators (MarkPositive/Train/ReplaceCatalog) are
-  /// exclusive. unique_ptr keeps the database movable.
-  std::unique_ptr<std::shared_mutex> state_mutex_;
+  /// exclusive, and a waiting mutator holds off newly arriving queries
+  /// so a query stream cannot starve it. No path takes it twice.
+  /// unique_ptr keeps the database movable.
+  std::unique_ptr<WriterPriorityMutex> state_mutex_;
   std::unique_ptr<QueryCache> cache_;  // null when caching is disabled
   /// For a snapshot-opened database: the mapping every borrowed matrix
   /// points into. Declared above the index cache so an adopted index

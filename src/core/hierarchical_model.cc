@@ -11,6 +11,29 @@ namespace hmmm {
 
 namespace {
 constexpr uint32_t kModelVersion = 1;
+
+/// Reads an A2 written in WriteMatrix's layout one row at a time, so an
+/// archive of uniform rows never holds the m x m doubles at once.
+StatusOr<VideoAffinity> ReadVideoAffinity(BinaryReader& r) {
+  HMMM_ASSIGN_OR_RETURN(uint64_t rows, r.ReadVarint());
+  HMMM_ASSIGN_OR_RETURN(uint64_t cols, r.ReadVarint());
+  // The same bounds ReadMatrix checks before it allocates.
+  constexpr uint64_t kMaxDim = 1ull << 24;
+  if (rows > kMaxDim || cols > kMaxDim ||
+      rows * cols > r.remaining() / sizeof(double)) {
+    return Status::DataLoss("matrix dimensions exceed remaining input");
+  }
+  if (rows != cols) return Status::Internal("A2 shape mismatch");
+  VideoAffinity a2(rows, 0.0);
+  std::vector<double> row(cols);
+  for (uint64_t i = 0; i < rows; ++i) {
+    for (double& value : row) {
+      HMMM_ASSIGN_OR_RETURN(value, r.ReadDouble());
+    }
+    a2.SetRow(i, row.data());
+  }
+  return a2;
+}
 }  // namespace
 
 StatusOr<std::vector<double>> HierarchicalModel::NormalizeFeatures(
@@ -96,12 +119,10 @@ Status HierarchicalModel::Validate() const {
   if (state_shots_.size() != total_states) {
     return Status::Internal("state index out of sync");
   }
-  if (a2_.rows() != locals_.size() || a2_.cols() != locals_.size()) {
+  if (a2_.rows() != locals_.size()) {
     return Status::Internal("A2 shape mismatch");
   }
-  if (!a2_.IsRowStochastic(1e-6, /*accept_zero_rows=*/true)) {
-    return Status::Internal("A2 not row-stochastic");
-  }
+  HMMM_RETURN_IF_ERROR(a2_.Validate(1e-6));
   if (b2_.rows() != locals_.size() || b2_.cols() != num_events) {
     return Status::Internal("B2 shape mismatch");
   }
@@ -183,18 +204,31 @@ StatusOr<HierarchicalModel> HierarchicalModel::SliceForServing(
   // Level 2 restricted to the range. A2 rows and Pi2 lose the mass that
   // pointed at videos outside the shard, so renormalize (uniform
   // fallback when everything pointed outside) — this only reorders the
-  // Step-2 walk within the shard.
-  slice.a2_ = Matrix(n, n, 0.0);
+  // Step-2 walk within the shard. A uniform row (value, width) restricts
+  // to (value, width'), width' its columns that fall in the range, and
+  // normalizes as the dense loop would: the same column-order sum, the
+  // same divide.
+  slice.a2_ = VideoAffinity(n, 0.0);
   for (size_t r = 0; r < n; ++r) {
+    const VideoAffinity::RowView row =
+        a2_.row(static_cast<size_t>(video_begin) + r);
+    if (row.uniform()) {
+      const size_t begin = static_cast<size_t>(video_begin);
+      const size_t width =
+          std::min(n, row.width() > begin ? row.width() - begin : 0);
+      const double sum = UniformRowSum(row.value(), width);
+      slice.a2_.SetUniform(r, sum > 0.0 ? row.value() / sum : row.value(),
+                           width);
+      continue;
+    }
+    double* values = slice.a2_.MutableRow(r);
     double sum = 0.0;
     for (size_t c = 0; c < n; ++c) {
-      const double value = a2_.at(static_cast<size_t>(video_begin) + r,
-                                  static_cast<size_t>(video_begin) + c);
-      slice.a2_.at(r, c) = value;
-      sum += value;
+      values[c] = row[static_cast<size_t>(video_begin) + c];
+      sum += values[c];
     }
     if (sum > 0.0) {
-      for (size_t c = 0; c < n; ++c) slice.a2_.at(r, c) /= sum;
+      for (size_t c = 0; c < n; ++c) values[c] /= sum;
     }
   }
   slice.b2_ = Matrix(n, b2_.cols(), 0.0);
@@ -236,7 +270,14 @@ std::string HierarchicalModel::Serialize() const {
   w.WriteMatrix(b1_);
   w.WriteDoubleVector(feature_minima_);
   w.WriteDoubleVector(feature_maxima_);
-  w.WriteMatrix(a2_);
+  // A2 in WriteMatrix's layout, expanded one row at a time.
+  w.WriteVarint(a2_.rows());
+  w.WriteVarint(a2_.cols());
+  std::vector<double> row(a2_.cols());
+  for (size_t r = 0; r < a2_.rows(); ++r) {
+    a2_.ExpandRow(r, row.data());
+    for (double value : row) w.WriteDouble(value);
+  }
   w.WriteMatrix(b2_);
   w.WriteDoubleVector(pi2_);
   w.WriteMatrix(p12_);
@@ -273,7 +314,7 @@ StatusOr<HierarchicalModel> HierarchicalModel::Deserialize(
   HMMM_ASSIGN_OR_RETURN(model.b1_, r.ReadMatrix());
   HMMM_ASSIGN_OR_RETURN(model.feature_minima_, r.ReadDoubleVector());
   HMMM_ASSIGN_OR_RETURN(model.feature_maxima_, r.ReadDoubleVector());
-  HMMM_ASSIGN_OR_RETURN(model.a2_, r.ReadMatrix());
+  HMMM_ASSIGN_OR_RETURN(model.a2_, ReadVideoAffinity(r));
   HMMM_ASSIGN_OR_RETURN(model.b2_, r.ReadMatrix());
   HMMM_ASSIGN_OR_RETURN(model.pi2_, r.ReadDoubleVector());
   HMMM_ASSIGN_OR_RETURN(model.p12_, r.ReadMatrix());

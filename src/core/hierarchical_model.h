@@ -8,6 +8,7 @@
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/mmm.h"
+#include "core/video_affinity.h"
 #include "media/event_types.h"
 #include "storage/catalog.h"
 
@@ -66,8 +67,9 @@ class HierarchicalModel {
       const std::vector<double>& raw) const;
 
   // -- Level 2 (video level) -------------------------------------------
-  const Matrix& a2() const { return a2_; }
-  Matrix& mutable_a2() { return a2_; }
+  /// A2, row by row uniform or dense (see VideoAffinity).
+  const VideoAffinity& a2() const { return a2_; }
+  VideoAffinity& mutable_a2() { return a2_; }
   const Matrix& b2() const { return b2_; }
   Matrix& mutable_b2() { return b2_; }
   const std::vector<double>& pi2() const { return pi2_; }
@@ -158,7 +160,7 @@ class HierarchicalModel {
   Matrix b1_;
   std::vector<double> feature_minima_;
   std::vector<double> feature_maxima_;
-  Matrix a2_;
+  VideoAffinity a2_;
   Matrix b2_;
   std::vector<double> pi2_;
   Matrix p12_;

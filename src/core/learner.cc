@@ -155,7 +155,7 @@ Status OfflineLearner::ApplyVideoPatterns(
     double sum = 0.0;
     for (double value : aff2) sum += value;
     if (sum <= 0.0) continue;  // no positive access: keep the prior row
-    double* row = model.mutable_a2().MutableRowPtr(static_cast<size_t>(m));
+    double* row = model.mutable_a2().MutableRow(static_cast<size_t>(m));
     for (size_t n = 0; n < num_videos; ++n) row[n] = aff2[n] / sum;
   }
   model.mutable_pi2() = DistributionFromPatterns(

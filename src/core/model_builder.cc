@@ -50,7 +50,7 @@ StatusOr<HierarchicalModel> ModelBuilder::Build() const {
 
   // Level 2: the integrated MMM over videos.
   const size_t m = catalog_.num_videos();
-  model.a2_ = Matrix(m, m, m > 0 ? 1.0 / static_cast<double>(m) : 0.0);
+  model.a2_ = VideoAffinity(m, m > 0 ? 1.0 / static_cast<double>(m) : 0.0);
   model.b2_ = catalog_.EventCountMatrix();
   model.pi2_ = UniformDistribution(m);
 
@@ -86,11 +86,16 @@ StatusOr<HierarchicalModel> RebuildPreservingLearning(
   // Embed the old A2 block; rows re-normalize over the grown video set.
   const size_t m = model.num_videos();
   if (old_m > 0 && old_m <= m) {
-    Matrix& a2 = model.mutable_a2();
+    // A uniform old row (value, width <= old_m) embeds as itself.
+    VideoAffinity& a2 = model.mutable_a2();
     for (size_t r = 0; r < old_m; ++r) {
-      for (size_t c = 0; c < m; ++c) {
-        a2.at(r, c) = c < old_m ? old_model.a2().at(r, c) : 0.0;
+      const VideoAffinity::RowView old_row = old_model.a2().row(r);
+      if (old_row.uniform()) {
+        a2.SetUniform(r, old_row.value(), old_row.width());
+        continue;
       }
+      double* row = a2.MutableRow(r);
+      for (size_t c = 0; c < m; ++c) row[c] = c < old_m ? old_row[c] : 0.0;
     }
     a2.NormalizeRows();
 

@@ -62,8 +62,13 @@ class RoundFootprint {
   /// Calls visit(first, count) for each contiguous run of the footprint.
   template <typename Visit>
   void ForEachSpan(const HierarchicalModel& model, Visit visit) const {
-    const Matrix& a2 = model.a2();
-    for (size_t row : a2_rows_) visit(a2.RowPtr(row), a2.cols());
+    // Each A2 row is expanded into scratch, a uniform one included.
+    const VideoAffinity& a2 = model.a2();
+    std::vector<double> expanded(a2.cols());
+    for (size_t row : a2_rows_) {
+      a2.ExpandRow(row, expanded.data());
+      visit(expanded.data(), expanded.size());
+    }
     for (VideoId video : a1_videos_) {
       const Matrix& a1 = model.local(video).a1;
       visit(a1.ptr(), a1.size());

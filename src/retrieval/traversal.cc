@@ -44,8 +44,8 @@ using CandidateHeap = TopKHeap<VideoCandidate, BetterCandidate>;
 constexpr size_t kParallelGrain = 1;
 
 /// Step-2 ordering polls the deadline/token once per this many picks —
-/// the affinity-chaining loop is quadratic in the containing-video count,
-/// so an unbounded ordering pass could otherwise blow the whole budget
+/// the affinity-chaining loop is quadratic in the containing-video count
+/// over dense A2 rows, so an unbounded ordering pass could otherwise blow the whole budget
 /// before Step 7 even starts.
 constexpr size_t kOrderPollInterval = 32;
 
@@ -167,7 +167,7 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(const TemporalPattern& pattern,
   const DenseBitset step_videos =
       index.VideosContainingStep(pattern.steps.front());
   // Deadline/cancellation poll for the ordering pass. The chaining below
-  // is quadratic in |containing|, so it checks once per
+  // is quadratic in |containing| over dense A2 rows, so it checks once per
   // kOrderPollInterval picks; a fired poll truncates the order, which
   // stays a prefix of the full one because every pick is a deterministic
   // function of the picks before it.
@@ -217,24 +217,39 @@ std::vector<VideoId> HmmmTraversal::VideoOrder(const TemporalPattern& pattern,
       [&](size_t v) { containing.push_back(static_cast<VideoId>(v)); });
   // Seed with the highest-Pi2 containing video, then chain by A2 affinity
   // with the previously chosen video (Step 2: "close affinity relationship
-  // with the previous video").
+  // with the previous video"). A uniform row (value, width) scores every
+  // candidate `value` or +0.0, with value >= 0, so the scan's first
+  // maximum is the smallest unvisited containing video; `cursor` finds it
+  // without the scan: every containing[j] with j < cursor is visited, so
+  // a chain over uniform rows costs O(|containing|) in all.
+  const VideoAffinity& a2 = model_.a2();
+  size_t cursor = 0;
   VideoId previous = -1;
   for (size_t picked = 0; picked < containing.size(); ++picked) {
     if (picked % kOrderPollInterval == 0 && ordering_expired(picked)) {
       return order;
     }
-    const double* a2_row =
-        previous < 0 ? nullptr : model_.a2().RowPtr(static_cast<size_t>(previous));
     VideoId best = -1;
-    double best_score = -1.0;
-    for (VideoId v : containing) {
-      if (visited[static_cast<size_t>(v)]) continue;
-      const double score = a2_row == nullptr
-                               ? model_.pi2()[static_cast<size_t>(v)]
-                               : a2_row[static_cast<size_t>(v)];
-      if (score > best_score) {
-        best_score = score;
-        best = v;
+    if (previous >= 0 && a2.IsUniform(static_cast<size_t>(previous))) {
+      while (cursor < containing.size() &&
+             visited[static_cast<size_t>(containing[cursor])]) {
+        ++cursor;
+      }
+      if (cursor < containing.size()) best = containing[cursor];
+    } else {
+      const double* a2_row =
+          previous < 0 ? nullptr
+                       : a2.row(static_cast<size_t>(previous)).dense();
+      double best_score = -1.0;
+      for (VideoId v : containing) {
+        if (visited[static_cast<size_t>(v)]) continue;
+        const double score = a2_row == nullptr
+                                 ? model_.pi2()[static_cast<size_t>(v)]
+                                 : a2_row[static_cast<size_t>(v)];
+        if (score > best_score) {
+          best_score = score;
+          best = v;
+        }
       }
     }
     if (best < 0) break;
@@ -345,8 +360,8 @@ void HmmmTraversal::BuildCrossCells(QueryPlan& plan, const PathRef& path,
     if (model_.local(video).num_states() == 0) return;
     candidates.push_back(video);
   });
-  const double* a2_row =
-      model_.a2().RowPtr(static_cast<size_t>(path.current_video));
+  const VideoAffinity::RowView a2_row =
+      model_.a2().row(static_cast<size_t>(path.current_video));
   std::stable_sort(candidates.begin(), candidates.end(),
                    [&](VideoId a, VideoId b) {
                      return a2_row[static_cast<size_t>(a)] >

@@ -33,7 +33,9 @@ namespace hmmm {
 /// "HMMS" in the same spelling convention as kCatalogMagic ("HMMC") and
 /// kModelMagic ("HMMM").
 inline constexpr uint32_t kSnapshotMagic = 0x484D4D53;
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 replaced version 1's dense A2 section (id 8) with the A2 row
+/// table and dense-row block (ids 14 and 15).
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 inline constexpr size_t kSnapshotHeaderBytes = 64;
 inline constexpr size_t kSnapshotSectionEntryBytes = 32;
@@ -98,7 +100,7 @@ enum SnapshotSectionId : uint32_t {
   /// a 32-byte boundary inside the section; aligned/borrowable.
   kSectionA1Blob = 6,
   kSectionB1 = 7,       // states x features f64, aligned/borrowable
-  kSectionA2 = 8,       // videos x videos f64, aligned/borrowable
+  // 8 held version 1's dense videos x videos A2; retired.
   kSectionB2 = 9,       // videos x events f64, aligned/borrowable
   kSectionP12 = 10,     // events x features f64, aligned/borrowable
   kSectionB1Prime = 11, // events x features f64, aligned/borrowable
@@ -107,7 +109,20 @@ enum SnapshotSectionId : uint32_t {
   /// Precomputed exact Eq.-14 sims: events x global-states f64,
   /// aligned/borrowable — the expensive part of EventBitmapIndex.
   kSectionEventSims = 13,
+  /// A2 row table: one kSnapshotA2RowBytes entry per video, kind(u32)
+  /// reserved(u32) value(f64) width(u64) dense_slot(u64). A uniform row
+  /// (kind 0) is `value` on columns [0, width); a dense row (kind 1) is
+  /// the videos doubles at slot dense_slot of kSectionA2Dense. Each slot
+  /// belongs to exactly one row.
+  kSectionA2Rows = 14,
+  /// The dense A2 rows, videos f64 per slot, slot after slot;
+  /// aligned/borrowable.
+  kSectionA2Dense = 15,
 };
+
+inline constexpr size_t kSnapshotA2RowBytes = 32;
+inline constexpr uint32_t kSnapshotA2Uniform = 0;
+inline constexpr uint32_t kSnapshotA2Dense = 1;
 
 /// Rounds `offset` up to the next kSnapshotAlignment boundary.
 inline constexpr uint64_t SnapshotAlignUp(uint64_t offset) {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -408,12 +409,16 @@ StatusOr<HierarchicalModel> SnapshotReader::BuildModel() const {
     HMMM_ASSIGN_OR_RETURN(dim, r.ReadUint64());
   }
   HMMM_ASSIGN_OR_RETURN(model.b1_, BorrowMatrix(kSectionB1, shape[0], shape[1]));
-  HMMM_ASSIGN_OR_RETURN(model.a2_, BorrowMatrix(kSectionA2, shape[2], shape[3]));
   HMMM_ASSIGN_OR_RETURN(model.b2_, BorrowMatrix(kSectionB2, shape[4], shape[5]));
   HMMM_ASSIGN_OR_RETURN(model.p12_,
                         BorrowMatrix(kSectionP12, shape[6], shape[7]));
   HMMM_ASSIGN_OR_RETURN(model.b1_prime_,
                         BorrowMatrix(kSectionB1Prime, shape[8], shape[9]));
+
+  if (shape[2] != shape[3]) {
+    return SnapshotCorrupt(path_, "model sections disagree on shapes");
+  }
+  HMMM_ASSIGN_OR_RETURN(model.a2_, BuildA2(shape[2]));
 
   const SnapshotSection* a1_section = FindSection(kSectionA1Blob);
   if (a1_section == nullptr ||
@@ -464,7 +469,7 @@ StatusOr<HierarchicalModel> SnapshotReader::BuildModel() const {
   // writer's job — rerunning it would allocate O(states x features)).
   const size_t k = model.b1_.cols();
   if (model.b1_.rows() != total_states ||
-      model.a2_.rows() != num_locals || model.a2_.cols() != num_locals ||
+      model.a2_.rows() != num_locals ||
       model.b2_.rows() != num_locals || model.b2_.cols() != vocab_size ||
       model.pi2_.size() != num_locals ||
       model.p12_.rows() != vocab_size || model.p12_.cols() != k ||
@@ -475,6 +480,59 @@ StatusOr<HierarchicalModel> SnapshotReader::BuildModel() const {
   }
   model.RebuildStateIndex();
   return model;
+}
+
+StatusOr<VideoAffinity> SnapshotReader::BuildA2(uint64_t m) const {
+  HMMM_ASSIGN_OR_RETURN(std::string_view table, SectionBytes(kSectionA2Rows));
+  if (m > table.size() / kSnapshotA2RowBytes ||
+      table.size() != m * kSnapshotA2RowBytes) {
+    return SnapshotCorrupt(
+        path_, StrFormat("A2 row table: %zu bytes for %llu rows", table.size(),
+                         static_cast<unsigned long long>(m)));
+  }
+  const auto* base = reinterpret_cast<const uint8_t*>(table.data());
+  uint64_t dense_rows = 0;
+  for (uint64_t r = 0; r < m; ++r) {
+    if (ReadU32(base + r * kSnapshotA2RowBytes) == kSnapshotA2Dense) {
+      ++dense_rows;
+    }
+  }
+  HMMM_ASSIGN_OR_RETURN(Matrix dense,
+                        BorrowMatrix(kSectionA2Dense, dense_rows, m));
+  VideoAffinity a2(m, 0.0);
+  std::vector<bool> slot_used(dense_rows, false);
+  for (uint64_t r = 0; r < m; ++r) {
+    const uint8_t* entry = base + r * kSnapshotA2RowBytes;
+    const uint32_t kind = ReadU32(entry);
+    const double value = ReadF64(entry + 8);
+    const uint64_t width = ReadU64(entry + 16);
+    const uint64_t slot = ReadU64(entry + 24);
+    if (kind == kSnapshotA2Uniform) {
+      // The guarantees the Step-2 chain's uniform-row pick rests on.
+      if (!std::isfinite(value) || value < 0.0 || width > m) {
+        return SnapshotCorrupt(
+            path_, StrFormat("A2 row %llu: bad uniform row (%g, %llu)",
+                             static_cast<unsigned long long>(r), value,
+                             static_cast<unsigned long long>(width)));
+      }
+      a2.SetUniform(r, value, width);
+    } else if (kind == kSnapshotA2Dense) {
+      if (slot >= dense_rows || slot_used[slot]) {
+        return SnapshotCorrupt(
+            path_, StrFormat("A2 row %llu: dense slot %llu out of range or "
+                             "reused",
+                             static_cast<unsigned long long>(r),
+                             static_cast<unsigned long long>(slot)));
+      }
+      slot_used[slot] = true;
+      a2.BorrowRow(r, dense.RowPtr(slot));
+    } else {
+      return SnapshotCorrupt(
+          path_, StrFormat("A2 row %llu: unknown kind %u",
+                           static_cast<unsigned long long>(r), kind));
+    }
+  }
+  return a2;
 }
 
 StatusOr<EventBitmapIndex> SnapshotReader::BuildEventIndex(

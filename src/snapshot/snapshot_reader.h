@@ -99,7 +99,8 @@ class SnapshotReader {
   /// features as a borrowed view of the mapped BB1 section.
   StatusOr<VideoCatalog> BuildCatalog() const;
 
-  /// Rebuilds the model: all matrices borrowed from mapped sections, the
+  /// Rebuilds the model: all matrices borrowed from mapped sections (A2's
+  /// dense rows too; its uniform rows are read from the row table), the
   /// state index rebuilt from the locals. Runs cheap shape/agreement
   /// checks only — the writer validated the full structure, and a full
   /// Validate() would allocate O(states x features), defeating O(1) open.
@@ -126,6 +127,11 @@ class SnapshotReader {
   /// Borrowed matrix view of an aligned f64 section; checks the aligned
   /// flag and that the payload is exactly rows x cols doubles.
   StatusOr<Matrix> BorrowMatrix(uint32_t id, size_t rows, size_t cols) const;
+  /// The m x m A2 from its row table: uniform rows as stored, dense rows
+  /// borrowed from the dense-row block. Checks each row's kind, that a
+  /// uniform row's value is finite and non-negative and its width <= m,
+  /// and that the dense slots are a permutation of the block's rows.
+  StatusOr<VideoAffinity> BuildA2(uint64_t m) const;
 
   std::string path_;
   MappedFile map_;

@@ -106,7 +106,27 @@ std::string EncodeA1Blob(const HierarchicalModel& model,
   return blob;
 }
 
-void WriteShape(BinaryWriter* w, const Matrix& m) {
+/// The A2 row table and dense-row block: dense rows take slots in row
+/// order.
+void EncodeA2(const VideoAffinity& a2, std::string* rows, std::string* dense) {
+  rows->reserve(a2.rows() * kSnapshotA2RowBytes);
+  uint64_t slot = 0;
+  for (size_t r = 0; r < a2.rows(); ++r) {
+    const VideoAffinity::RowView row = a2.row(r);
+    AppendU32(rows, row.uniform() ? kSnapshotA2Uniform : kSnapshotA2Dense);
+    AppendU32(rows, 0);  // reserved
+    AppendF64(rows, row.uniform() ? row.value() : 0.0);
+    AppendU64(rows, row.uniform() ? row.width() : 0);
+    AppendU64(rows, row.uniform() ? 0 : slot++);
+    if (!row.uniform()) {
+      dense->append(reinterpret_cast<const char*>(row.dense()),
+                    a2.cols() * sizeof(double));
+    }
+  }
+}
+
+template <typename M>
+void WriteShape(BinaryWriter* w, const M& m) {
   w->WriteUint64(m.rows());
   w->WriteUint64(m.cols());
 }
@@ -178,15 +198,23 @@ std::string BuildSnapshotImage(const HierarchicalModel& model,
     sections.push_back(
         {kSectionA1Blob, kSnapshotSectionAligned, std::move(a1_blob)});
   }
-  const Matrix* aligned[] = {&model.b1(), &model.a2(), &model.b2(),
-                             &model.p12(), &model.b1_prime()};
-  const uint32_t aligned_ids[] = {kSectionB1, kSectionA2, kSectionB2,
-                                  kSectionP12, kSectionB1Prime};
-  for (size_t i = 0; i < 5; ++i) {
+  const Matrix* aligned[] = {&model.b1(), &model.b2(), &model.p12(),
+                             &model.b1_prime()};
+  const uint32_t aligned_ids[] = {kSectionB1, kSectionB2, kSectionP12,
+                                  kSectionB1Prime};
+  for (size_t i = 0; i < 4; ++i) {
     std::string payload;
     AppendMatrixBytes(&payload, *aligned[i]);
     sections.push_back(
         {aligned_ids[i], kSnapshotSectionAligned, std::move(payload)});
+  }
+  {
+    std::string rows;
+    std::string dense;
+    EncodeA2(model.a2(), &rows, &dense);
+    sections.push_back({kSectionA2Rows, 0, std::move(rows)});
+    sections.push_back(
+        {kSectionA2Dense, kSnapshotSectionAligned, std::move(dense)});
   }
   uint32_t flags = 0;
   if (options.include_event_index) {

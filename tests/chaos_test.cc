@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -8,7 +9,9 @@
 #include "common/fault_injector.h"
 #include "common/serialization.h"
 #include "common/thread_pool.h"
+#include "core/learner.h"
 #include "core/model_builder.h"
+#include "dense_step2_oracle.h"
 #include "retrieval/engine.h"
 #include "retrieval/traversal.h"
 #include "storage/catalog_journal.h"
@@ -181,6 +184,59 @@ TEST_F(ChaosTest, OrderPickFaultCutsTheSamePrefixOnAMemoHit) {
   EXPECT_EQ(computed, prefix);
   EXPECT_EQ(replayed, prefix);
   EXPECT_EQ(hit_hits, miss_hits);
+}
+
+TEST_F(ChaosTest, OrderPickFaultCutsTheDenseOraclePrefixOverUniformRows) {
+  SKIP_WITHOUT_FAULT_INJECTION();
+  // Step 2 polls at picks 0, 32, 64, ... and once more at the chain's
+  // end. The uniform-row chain picks the same videos at the same
+  // positions as the dense scan it replaced, so a poll firing at or after
+  // pick t cuts the oracle's order at the first poll position >= t. An
+  // archive of 70 videos puts several polls inside the chain; a trained
+  // round leaves dense rows among the uniform ones.
+  const VideoCatalog catalog = testing::GeneratedSoccerCatalog(5, 70);
+  auto built = ModelBuilder(catalog).Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  HierarchicalModel model = std::move(built).value();
+  ASSERT_TRUE(OfflineLearner()
+                  .ApplyVideoPatterns(model, {{{3, 40, 9}, 1.0}, {{66, 3}, 2.0}})
+                  .ok());
+  const Matrix dense = model.a2().ToDense();
+  const EventBitmapIndex index(model, catalog);
+  size_t widest = 0;
+  for (EventId e = 0; static_cast<size_t>(e) < catalog.vocabulary().size();
+       ++e) {
+    const auto pattern = TemporalPattern::FromEvents({e});
+    const DenseBitset containing =
+        index.VideosContainingStep(pattern.steps.front());
+    widest = std::max(widest, containing.Count());
+    const testing::DenseVideoOrderResult oracle =
+        testing::DenseVideoOrder(dense, model.pi2(), containing);
+    std::vector<size_t> polls;
+    for (size_t p = 0; p < containing.Count(); p += 32) polls.push_back(p);
+    polls.push_back(oracle.chain_length);
+    for (int64_t threshold : {1, 20, 32, 33, 64, 65}) {
+      SCOPED_TRACE("event " + std::to_string(e) + " threshold " +
+                   std::to_string(threshold));
+      size_t cut = oracle.order.size();
+      for (size_t p : polls) {
+        if (static_cast<int64_t>(p) >= threshold) {
+          cut = p;
+          break;
+        }
+      }
+      FaultInjector::Instance().Reset();
+      FaultPointConfig config;
+      config.arg_threshold = threshold;
+      FaultInjector::Instance().Arm("traversal.order_pick", config);
+      const HmmmTraversal cold(model, catalog);  // own index: a memo miss
+      EXPECT_EQ(cold.VideoOrder(pattern),
+                std::vector<VideoId>(oracle.order.begin(),
+                                     oracle.order.begin() +
+                                         static_cast<long>(cut)));
+    }
+  }
+  EXPECT_GT(widest, 64u);  // some chain crosses the polls at 32 and 64
 }
 
 TEST_F(ChaosTest, WorkerFaultSurfacesAsInternalErrorNotACrash) {

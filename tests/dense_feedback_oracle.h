@@ -35,6 +35,14 @@ inline StatusOr<Matrix> DenseAccumulateVideoAffinity(
   return af2;
 }
 
+/// A2 holding the rows of a square dense matrix, each stored as
+/// VideoAffinity::SetRow stores it (exactly uniform rows as their pair).
+inline VideoAffinity AffinityFromDense(const Matrix& dense) {
+  VideoAffinity a2(dense.rows(), 0.0);
+  for (size_t r = 0; r < dense.rows(); ++r) a2.SetRow(r, dense.RowPtr(r));
+  return a2;
+}
+
 /// Eqs. 5-6 and Pi2 over the whole model, as the learner used to apply
 /// them.
 inline Status DenseApplyVideoPatterns(
@@ -42,7 +50,8 @@ inline Status DenseApplyVideoPatterns(
     PiSemantics pi_semantics = PiSemantics::kInitialStateCounts) {
   HMMM_ASSIGN_OR_RETURN(
       Matrix af2, DenseAccumulateVideoAffinity(model.num_videos(), patterns));
-  model.mutable_a2() = NormalizeAffinity(af2, model.a2());
+  model.mutable_a2() =
+      AffinityFromDense(NormalizeAffinity(af2, model.a2().ToDense()));
   model.mutable_pi2() = DistributionFromPatterns(
       model.num_videos(), patterns, pi_semantics, model.pi2());
   model.BumpVersion();
@@ -53,8 +62,8 @@ inline Status DenseApplyVideoPatterns(
 /// (A2 followed by each local A1), used to measure update magnitude.
 inline std::vector<double> DenseFlattenAffinities(
     const HierarchicalModel& model) {
-  std::vector<double> flat(model.a2().ptr(),
-                           model.a2().ptr() + model.a2().size());
+  const Matrix a2 = model.a2().ToDense();
+  std::vector<double> flat(a2.ptr(), a2.ptr() + a2.size());
   for (const LocalShotModel& local : model.locals()) {
     const double* a1 = local.a1.ptr();
     flat.insert(flat.end(), a1, a1 + local.a1.size());

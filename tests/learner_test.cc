@@ -127,7 +127,7 @@ TEST(OfflineLearnerTest, VideoPatternsUpdateA2AndPi2) {
   // Videos 0 and 1 co-accessed: equal split each way after normalizing.
   EXPECT_DOUBLE_EQ(model.a2().at(0, 1), 0.5);
   EXPECT_DOUBLE_EQ(model.a2().at(0, 0), 0.5);
-  EXPECT_TRUE(model.a2().IsRowStochastic(1e-12));
+  EXPECT_TRUE(model.a2().ToDense().IsRowStochastic(1e-12));
   EXPECT_DOUBLE_EQ(model.pi2()[0], 1.0);  // first state of the pattern
   EXPECT_TRUE(model.Validate().ok());
 }
@@ -177,18 +177,24 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// A video-level model of `num_videos` videos with a random prior A2 (some
-/// exact zeros) and Pi2: all that ApplyVideoPatterns reads.
+/// exact zeros, some uniform rows) and Pi2: all that ApplyVideoPatterns
+/// reads.
 HierarchicalModel RandomVideoLevel(Rng& rng, size_t num_videos) {
   HierarchicalModel model;
   model.mutable_locals().resize(num_videos);
   Matrix a2(num_videos, num_videos, 0.0);
   for (size_t r = 0; r < num_videos; ++r) {
+    const bool uniform = rng.NextBernoulli(0.3);
     for (size_t c = 0; c < num_videos; ++c) {
-      if (!rng.NextBernoulli(0.2)) a2.at(r, c) = rng.NextDouble();
+      if (uniform) {
+        a2.at(r, c) = 1.0;
+      } else if (!rng.NextBernoulli(0.2)) {
+        a2.at(r, c) = rng.NextDouble();
+      }
     }
   }
   a2.NormalizeRows();
-  model.mutable_a2() = std::move(a2);
+  model.mutable_a2() = testing::AffinityFromDense(a2);
   std::vector<double> pi2(num_videos);
   for (double& p : pi2) p = rng.NextDouble();
   model.mutable_pi2() = std::move(pi2);
@@ -233,19 +239,23 @@ TEST(OfflineLearnerTest, VideoPatternsMatchTheDenseOracleBitForBit) {
     ASSERT_TRUE(
         testing::DenseApplyVideoPatterns(expected, patterns, semantics).ok());
 
-    // Every third round reads a borrowed A2, as a snapshot-opened model
-    // does; the borrowed bytes must stay untouched.
-    const std::vector<double> prior(model.a2().ptr(),
-                                    model.a2().ptr() + model.a2().size());
+    // Every third round reads borrowed dense A2 rows, as a
+    // snapshot-opened model does; the borrowed bytes must stay untouched.
+    const Matrix dense_prior = model.a2().ToDense();
+    const std::vector<double> prior(dense_prior.ptr(),
+                                    dense_prior.ptr() + dense_prior.size());
     std::vector<double> mapped = prior;
     if (round % 3 == 0) {
-      model.mutable_a2() =
-          Matrix::FromBorrowed(mapped.data(), num_videos, num_videos);
+      for (size_t r = 0; r < num_videos; ++r) {
+        if (model.a2().IsUniform(r)) continue;
+        model.mutable_a2().BorrowRow(r, mapped.data() + r * num_videos);
+      }
     }
     ASSERT_TRUE(OfflineLearner(OfflineLearnerOptions{semantics})
                     .ApplyVideoPatterns(model, patterns)
                     .ok());
-    EXPECT_TRUE(SameBits(model.a2(), expected.a2())) << "round " << round;
+    EXPECT_TRUE(SameBits(model.a2().ToDense(), expected.a2().ToDense()))
+        << "round " << round;
     EXPECT_TRUE(SameBits(model.pi2(), expected.pi2())) << "round " << round;
     EXPECT_EQ(model.version(), expected.version());
     EXPECT_TRUE(SameBits(mapped, prior)) << "round " << round;
@@ -255,19 +265,21 @@ TEST(OfflineLearnerTest, VideoPatternsMatchTheDenseOracleBitForBit) {
 TEST(OfflineLearnerTest, VideoRoundRewritesTouchedRowsInPlace) {
   const VideoCatalog catalog = testing::GeneratedSoccerCatalog(5, 12);
   HierarchicalModel model = BuildSmallModel(catalog);
-  ASSERT_FALSE(model.a2().borrowed());
-  const double* storage = model.a2().ptr();
-  const Matrix before = model.a2();
+  for (size_t r = 0; r < model.num_videos(); ++r) {
+    ASSERT_TRUE(model.a2().IsUniform(r)) << "row " << r;
+  }
+  const Matrix before = model.a2().ToDense();
   std::vector<AccessPattern> patterns = {{{4, 1}, 2.0}, {{9, 9}, 0.0}};
   ASSERT_TRUE(OfflineLearner().ApplyVideoPatterns(model, patterns).ok());
 
-  // Nothing V x V was allocated: the same buffer, rewritten in place.
-  EXPECT_EQ(model.a2().ptr(), storage);
+  // Nothing V x V was allocated: only the rewritten rows own storage.
+  const Matrix after = model.a2().ToDense();
   for (size_t r = 0; r < model.num_videos(); ++r) {
-    const bool same = std::memcmp(model.a2().RowPtr(r), before.RowPtr(r),
+    const bool same = std::memcmp(after.RowPtr(r), before.RowPtr(r),
                                   before.cols() * sizeof(double)) == 0;
     // Row 9's only pattern has count 0, so it keeps its prior row too.
     EXPECT_EQ(same, r != 1 && r != 4) << "row " << r;
+    EXPECT_EQ(model.a2().IsOwned(r), r == 1 || r == 4) << "row " << r;
   }
   EXPECT_DOUBLE_EQ(model.a2().at(1, 4), 0.5);
   EXPECT_DOUBLE_EQ(model.a2().at(4, 4), 0.5);
@@ -298,7 +310,7 @@ TEST(OfflineLearnerTest, InvalidPatternsFailBeforeAnyWrite) {
           .code(),
       StatusCode::kInvalidArgument);
 
-  EXPECT_TRUE(SameBits(model.a2(), before.a2()));
+  EXPECT_TRUE(SameBits(model.a2().ToDense(), before.a2().ToDense()));
   EXPECT_TRUE(SameBits(model.pi2(), before.pi2()));
   for (size_t v = 0; v < model.num_videos(); ++v) {
     EXPECT_TRUE(SameBits(model.locals()[v].a1, before.locals()[v].a1));

@@ -42,7 +42,7 @@ TEST(ModelBuilderTest, InitialDistributionsAreUniform) {
     }
   }
   for (double p : model->pi2()) EXPECT_DOUBLE_EQ(p, 0.5);
-  EXPECT_TRUE(model->a2().IsRowStochastic(1e-12));
+  EXPECT_TRUE(model->a2().ToDense().IsRowStochastic(1e-12));
 }
 
 TEST(ModelBuilderTest, B1NormalizedPerEquation3) {

@@ -61,7 +61,7 @@ TEST(ModelIoTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->num_global_states(), original.num_global_states());
   EXPECT_EQ(restored->vocabulary().names(), original.vocabulary().names());
   EXPECT_LT(restored->b1().MaxAbsDiff(original.b1()), 1e-15);
-  EXPECT_LT(restored->a2().MaxAbsDiff(original.a2()), 1e-15);
+  EXPECT_LT(restored->a2().ToDense().MaxAbsDiff(original.a2().ToDense()), 1e-15);
   EXPECT_LT(restored->b2().MaxAbsDiff(original.b2()), 1e-15);
   EXPECT_LT(restored->p12().MaxAbsDiff(original.p12()), 1e-15);
   EXPECT_LT(restored->b1_prime().MaxAbsDiff(original.b1_prime()), 1e-15);

@@ -106,7 +106,7 @@ TEST_P(ModelInvariantsTest, SerializationIsLossless) {
   auto restored = HierarchicalModel::Deserialize(model_.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_LT(restored->b1().MaxAbsDiff(model_.b1()), 1e-15);
-  EXPECT_LT(restored->a2().MaxAbsDiff(model_.a2()), 1e-15);
+  EXPECT_LT(restored->a2().ToDense().MaxAbsDiff(model_.a2().ToDense()), 1e-15);
   EXPECT_EQ(restored->num_global_states(), model_.num_global_states());
 }
 

@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -10,6 +12,7 @@
 
 #include "api/video_database.h"
 #include "common/serialization.h"
+#include "core/learner.h"
 #include "core/model_builder.h"
 #include "observability/metrics_registry.h"
 #include "observability/query_trace.h"
@@ -36,6 +39,29 @@ void ExpectIdenticalResults(const std::vector<RetrievedPattern>& expected,
     EXPECT_EQ(expected[i].crosses_videos, actual[i].crosses_videos)
         << "rank " << i;
   }
+}
+
+/// The A2 rows that are dense (owned or borrowed), ascending.
+std::vector<size_t> DenseRows(const VideoAffinity& a2) {
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < a2.rows(); ++r) {
+    if (!a2.IsUniform(r)) rows.push_back(r);
+  }
+  return rows;
+}
+
+/// The A2 rows that own their storage, ascending.
+std::vector<size_t> OwnedRows(const VideoAffinity& a2) {
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < a2.rows(); ++r) {
+    if (a2.IsOwned(r)) rows.push_back(r);
+  }
+  return rows;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.ptr(), b.ptr(), a.size() * sizeof(double)) == 0;
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -95,7 +121,7 @@ TEST_F(SnapshotTest, RoundTripRebuildsModelExactly) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
 
   EXPECT_TRUE(rebuilt->b1() == model_.b1());
-  EXPECT_TRUE(rebuilt->a2() == model_.a2());
+  EXPECT_TRUE(SameBits(rebuilt->a2().ToDense(), model_.a2().ToDense()));
   EXPECT_TRUE(rebuilt->b2() == model_.b2());
   EXPECT_TRUE(rebuilt->p12() == model_.p12());
   EXPECT_TRUE(rebuilt->b1_prime() == model_.b1_prime());
@@ -121,8 +147,8 @@ TEST_F(SnapshotTest, MappedMatricesAreBorrowedAndAligned) {
   const auto aligned = [](const Matrix& m) {
     return reinterpret_cast<uintptr_t>(m.ptr()) % kSnapshotAlignment == 0;
   };
-  for (const Matrix* m : {&model->b1(), &model->a2(), &model->b2(),
-                          &model->p12(), &model->b1_prime()}) {
+  for (const Matrix* m : {&model->b1(), &model->b2(), &model->p12(),
+                          &model->b1_prime()}) {
     EXPECT_TRUE(m->borrowed());
     EXPECT_TRUE(aligned(*m));
   }
@@ -130,6 +156,8 @@ TEST_F(SnapshotTest, MappedMatricesAreBorrowedAndAligned) {
     EXPECT_TRUE(local.a1.borrowed());
     EXPECT_TRUE(aligned(local.a1));
   }
+  // An untrained A2 is all uniform rows: nothing of it to map.
+  EXPECT_TRUE(DenseRows(model->a2()).empty());
   // The BB1 feature table serves straight from the mapped pages too.
   EXPECT_EQ(reinterpret_cast<uintptr_t>(catalog->RawFeatureRow(0)) %
                 kSnapshotAlignment,
@@ -315,6 +343,41 @@ TEST_F(SnapshotTest, MappedQbeMatchesHeap) {
   }
 }
 
+TEST_F(SnapshotTest, TrainedA2RowsAreBorrowedAndCopiedOnWritePerRow) {
+  HierarchicalModel trained = model_;
+  ASSERT_TRUE(OfflineLearner()
+                  .ApplyVideoPatterns(trained, {{{0, 2}, 1.0}, {{3}, 2.0}})
+                  .ok());
+  ASSERT_TRUE(WriteSnapshot(trained, catalog_, path_).ok());
+  auto before = ReadFileToString(path_);
+  ASSERT_TRUE(before.ok());
+  auto reader = SnapshotReader::Open(path_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto model = (*reader)->BuildModel();
+  ASSERT_TRUE(model.ok()) << model.status();
+
+  // The trained rows come back borrowed from the mapping, the rest
+  // uniform, and every double equals the heap model's.
+  const std::vector<size_t> trained_rows = {0, 2, 3};
+  EXPECT_EQ(DenseRows(model->a2()), trained_rows);
+  EXPECT_TRUE(OwnedRows(model->a2()).empty());
+  for (size_t r : trained_rows) EXPECT_TRUE(model->a2().IsBorrowed(r));
+  EXPECT_TRUE(SameBits(model->a2().ToDense(), trained.a2().ToDense()));
+
+  // A round over row 2 copies that row alone; rows 0 and 3 stay mapped.
+  ASSERT_TRUE(
+      OfflineLearner().ApplyVideoPatterns(*model, {{{2, 1}, 1.0}}).ok());
+  ASSERT_TRUE(
+      OfflineLearner().ApplyVideoPatterns(trained, {{{2, 1}, 1.0}}).ok());
+  EXPECT_EQ(OwnedRows(model->a2()), (std::vector<size_t>{1, 2}));
+  EXPECT_TRUE(model->a2().IsBorrowed(0));
+  EXPECT_TRUE(model->a2().IsBorrowed(3));
+  EXPECT_TRUE(SameBits(model->a2().ToDense(), trained.a2().ToDense()));
+  auto after = ReadFileToString(path_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*before, *after);
+}
+
 TEST_F(SnapshotTest, TrainingCopiesOnWriteAndLeavesTheFileUntouched) {
   auto heap = VideoDatabase::Create(VideoCatalog(catalog_));
   ASSERT_TRUE(heap.ok()) << heap.status();
@@ -324,7 +387,8 @@ TEST_F(SnapshotTest, TrainingCopiesOnWriteAndLeavesTheFileUntouched) {
 
   auto db = VideoDatabase::OpenSnapshot(path_);
   ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_TRUE(db->model().a2().borrowed());
+  // Before the round no A2 row is dense.
+  EXPECT_TRUE(DenseRows(db->model().a2()).empty());
 
   auto results = db->Query("free_kick ; goal");
   ASSERT_TRUE(results.ok()) << results.status();
@@ -334,9 +398,17 @@ TEST_F(SnapshotTest, TrainingCopiesOnWriteAndLeavesTheFileUntouched) {
   ASSERT_TRUE(trained.ok()) << trained.status();
   EXPECT_TRUE(*trained);
 
-  // Training mutated the model through copy-on-write; the mapped bytes —
-  // and any other reader of the same snapshot — are untouched.
-  EXPECT_FALSE(db->model().a2().borrowed());
+  // The round owns exactly the rows of the marked pattern's videos; the
+  // mapped bytes — and any other reader of the same snapshot — are
+  // untouched.
+  std::vector<size_t> touched;
+  for (ShotId shot : (*results)[0].shots) {
+    touched.push_back(static_cast<size_t>(catalog_.shot(shot).video_id));
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  EXPECT_EQ(OwnedRows(db->model().a2()), touched);
+  EXPECT_EQ(DenseRows(db->model().a2()), touched);
   auto after = ReadFileToString(path_);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);
@@ -359,8 +431,8 @@ bool SameRanking(const std::vector<RetrievedPattern>& a,
 }
 
 // Feedback rounds on a snapshot-opened database while four threads keep
-// querying it: the first round copies the mapped A2 on write under the
-// exclusive state lock, later rounds rewrite rows of it in place. Every
+// querying it: each round materializes the A2 rows it rewrites under the
+// exclusive state lock, the untouched rows stay uniform. Every
 // ranking a reader sees must be the serial replay's ranking after some
 // whole number of rounds, and after each round the database ranks
 // exactly as the replay does.
@@ -415,7 +487,7 @@ TEST_F(FeedbackUnderLoadTest, RankingsAfterEachRoundMatchASerialReplay) {
 
   auto db = VideoDatabase::OpenSnapshot(path_, options);
   ASSERT_TRUE(db.ok()) << db.status();
-  ASSERT_TRUE(db->model().a2().borrowed());
+  ASSERT_TRUE(DenseRows(db->model().a2()).empty());
   std::atomic<int> reads{0};
   std::atomic<int> unexpected{0};
   // Stops and joins the readers on every exit, a failed assertion's too.
@@ -454,7 +526,7 @@ TEST_F(FeedbackUnderLoadTest, RankingsAfterEachRoundMatchASerialReplay) {
       ASSERT_TRUE(db->MarkPositive(mark).ok());
     }
     EXPECT_EQ(db->training_rounds(), round);
-    EXPECT_FALSE(db->model().a2().borrowed());
+    EXPECT_FALSE(OwnedRows(db->model().a2()).empty());
     for (size_t q = 0; q < queries.size(); ++q) {
       auto results = db->Query(queries[q]);
       ASSERT_TRUE(results.ok()) << results.status();

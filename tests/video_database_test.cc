@@ -1,5 +1,9 @@
 #include "api/video_database.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "media/news_generator.h"
@@ -85,6 +89,50 @@ TEST(VideoDatabaseTest, FeedbackThresholdAutoTrains) {
   ASSERT_TRUE(db->MarkPositive(results->front()).ok());
   EXPECT_EQ(db->training_rounds(), 1u);  // threshold reached
   EXPECT_TRUE(db->model().Validate().ok());
+}
+
+// Four threads query back to back, every read a traversal, while a
+// feedback round waits for the exclusive state lock. Readers that arrive
+// after the round asked for the lock queue behind it, so the round
+// finishes within a bounded number of reads: the ones already in flight,
+// plus a few that pass before the writer reaches the lock. A 1,000-video
+// archive makes a read take about 1 ms, so the bound leaves room for a
+// writer descheduled for tens of milliseconds. With a reader-preferring
+// lock the same round waited through hundreds of thousands of reads.
+TEST(StateLockTest, FeedbackRoundIsNotStarvedByReaders) {
+  constexpr int kReaders = 4;
+  constexpr int kMaxReadsDuringRound = 16 * kReaders;
+  VideoDatabaseOptions options;
+  options.query_cache_entries = 0;
+  options.traversal.num_threads = 1;
+  auto db = VideoDatabase::Create(testing::GeneratedSoccerCatalog(3, 1000),
+                                  options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto results = db->Query("free_kick ; goal");
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_FALSE(results->empty());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        EXPECT_TRUE(db->Query("free_kick ; goal").ok());
+        reads.fetch_add(1);
+      }
+    });
+  }
+  while (reads.load() < 4 * kReaders) std::this_thread::yield();
+  const int before = reads.load();
+  ASSERT_TRUE(db->MarkPositive(results->front()).ok());
+  auto trained = db->Train();
+  const int during = reads.load() - before;
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  EXPECT_TRUE(*trained);
+  EXPECT_LE(during, kMaxReadsDuringRound);
 }
 
 TEST(VideoDatabaseTest, ForceTrain) {
